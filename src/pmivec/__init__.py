@@ -24,11 +24,12 @@ from .incremental import (
     solve_noncore_word,
 )
 from .statistics import (
+    PmiRows,
     SmoothingConfig,
     WeightConfig,
     pmi_block,
-    pmi_row,
     smoothed_bigram_prob,
     unigram_distribution,
+    weight_normalizer,
     weight_transform,
 )

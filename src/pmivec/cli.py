@@ -40,7 +40,13 @@ from .evaluation import (
 )
 from .incremental import GroupReport, combine, partition_vocabulary, solve_words
 from .ioutil import ParseError, atomic_write
-from .statistics import SmoothingConfig, WeightConfig, pmi_block, unigram_distribution
+from .statistics import (
+    SmoothingConfig,
+    WeightConfig,
+    pmi_block,
+    unigram_distribution,
+    weight_normalizer,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -141,6 +147,7 @@ def cmd_factorize_core(args) -> None:
     uni = unigram_distribution(vocab)
     core = partition.core
     gblk, wblk = pmi_block(core, core, table, uni, _smoothing(args), _weighting(args))
+    del table  # the solve needs only the blocks: release the counts before its memory peak
     factor, diag = em_factorize(
         gblk.values, wblk.values, CoreSolveConfig(args.dim, args.iters, args.tol)
     )
@@ -164,8 +171,32 @@ def cmd_factorize_core(args) -> None:
     )
 
 
+#: Flags that fix the weight scale; every stage of one growth chain must agree on them.
+_WEIGHTING_FLAGS = ("lam", "alpha", "cap")
+
+
+def _check_weighting_matches(args) -> None:
+    """Refuse flags that differ from those recorded in the manifest of
+    ``--core-vec``, when it has one."""
+    manifest_path = Path(args.core_vec + ".manifest.json")
+    if not manifest_path.is_file():
+        return
+    with open(manifest_path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    recorded = manifest.get("arguments") if isinstance(manifest, dict) else None
+    if not isinstance(recorded, dict):
+        raise ValueError(f"{manifest_path} holds no 'arguments' record")
+    for name in _WEIGHTING_FLAGS:
+        if name in recorded and recorded[name] != getattr(args, name):
+            raise ValueError(
+                f"{name} = {getattr(args, name)} differs from {recorded[name]}, "
+                f"recorded in {manifest_path}; every stage must use the same weighting"
+            )
+
+
 def cmd_factorize_noncore(args) -> None:
     started = time.perf_counter()
+    _check_weighting_matches(args)
     vocab = load_unigrams(args.unigrams)
     table = load_bigrams(args.bigrams, vocab)
     uni = unigram_distribution(vocab)
@@ -200,8 +231,7 @@ def cmd_factorize_noncore(args) -> None:
     # same block normalizer from the counts
     smoothing, weighting = _smoothing(args), _weighting(args)
     block_range = range(0, min(core_size, len(vocab)))
-    _, wblk = pmi_block(block_range, block_range, table, uni, smoothing, weighting)
-    normalizer = wblk.normalizer
+    normalizer = weight_normalizer(block_range, table, uni, smoothing, weighting)
 
     have = set(base.words)
     new_indices = [i for i, w in enumerate(vocab.words) if w not in have][: args.count]
@@ -362,3 +392,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -3,17 +3,28 @@
 Counting is a pure fold over the token stream, so shards counted separately
 (split at document boundaries) can be merged with the ``merge_*`` helpers and
 always reproduce the single-pass result.
+
+Pair counts live in one CSR table.  ``save_bigrams`` writes them as text plus
+a binary companion, which ``load_bigrams`` reads instead of parsing the text
+whenever it was written for that very text and vocabulary.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import string
-from collections import Counter, deque
+import struct
+import zlib
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Iterator
 
-from .ioutil import ParseError, atomic_write
+import numpy as np
+
+from .ioutil import ParseError, atomic_write, sha256
 
 #: Emitted between documents; counting windows never cross it.
 DOC_BREAK = None
@@ -136,40 +147,127 @@ def count_unigrams(tokens: Iterable[str | None], min_count: int = 1) -> Vocabula
     return build_vocabulary(counts, total, min_count)
 
 
-@dataclass
-class CooccurrenceTable:
-    """Sparse ordered-pair counts within a token window.
+#: Largest pair count a table holds; its counts are stored as int32.
+MAX_COUNT = int(np.iinfo(np.int32).max)
 
-    ``rows`` maps a leading-word index to a map of context-word index to
-    count.  The leading word is the earlier of the pair; each in-window
-    ordered pair is counted once, with no distance weighting.
+
+def _check_csr(indptr, indices, counts, n: int) -> None:
+    """Raise ValueError unless the arrays form a valid ordered-pair CSR over
+    ``n`` words.  Every check is vectorized."""
+    if indptr.ndim != 1 or indices.ndim != 1 or counts.ndim != 1:
+        raise ValueError("CSR arrays must be 1-d")
+    if len(indptr) != n + 1:
+        raise ValueError(f"indptr has {len(indptr)} entries for {n} rows")
+    nnz = len(indices)
+    if len(counts) != nnz or indptr[0] != 0 or indptr[-1] != nnz:
+        raise ValueError("indptr does not span indices and counts")
+    if np.any(np.diff(indptr) < 0):
+        raise ValueError("indptr is not monotone")
+    if nnz and (indices.min() < 0 or indices.max() >= n):
+        raise ValueError("context index out of range")
+    if nnz and (counts.min() < 1 or counts.max() > MAX_COUNT):
+        raise ValueError(f"count outside [1, {MAX_COUNT}]")
+    if nnz > 1:
+        ascending = np.diff(indices) > 0
+        starts = indptr[1:-1]
+        ascending[starts[(starts > 0) & (starts < nnz)] - 1] = True  # row boundaries
+        if not ascending.all():
+            raise ValueError("context indices are not sorted and unique within a row")
+
+
+def _csr_from_keys(keys: np.ndarray, n: int, weights: np.ndarray | None = None):
+    """CSR arrays from pair keys ``i * n + j``.  Equal keys add up: each
+    occurrence counts 1, or its entry of ``weights``.  Without weights
+    ``keys`` is sorted in place."""
+    if weights is None:
+        keys.sort()
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys, weights = keys[order], weights[order]
+    fresh = np.empty(keys.size, dtype=bool)
+    fresh[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    starts = np.flatnonzero(fresh)
+    del fresh
+    if weights is None:
+        counts = np.diff(starts, append=keys.size)
+    else:
+        counts = np.add.reduceat(weights, starts, dtype=np.int64) if keys.size else weights
+    if counts.size and counts.max() > MAX_COUNT:
+        raise ValueError(f"a pair count exceeds {MAX_COUNT}, the largest a table holds")
+    unique = keys[starts]
+    del starts
+    indptr = np.searchsorted(unique, np.arange(n + 1, dtype=unique.dtype) * n)
+    np.remainder(unique, max(n, 1), out=unique)
+    return indptr, unique.astype(np.int32), counts.astype(np.int32)
+
+
+@dataclass(eq=False)
+class CooccurrenceTable:
+    """Sparse ordered-pair counts within a token window, as one CSR.
+
+    Row ``i`` lists the pairs led by word ``i`` (the earlier word of the
+    pair): context indices ``indices[indptr[i]:indptr[i + 1]]``, strictly
+    increasing, and their ``counts``, each in ``[1, MAX_COUNT]``.  Each
+    in-window ordered pair is counted once, with no distance weighting.
+    Storage is 8 bytes per distinct pair plus 8 per word.
     """
 
     window: int
     vocab: Vocabulary
-    rows: dict[int, dict[int, int]]
-    total_pairs: int = field(init=False, compare=False)
+    indptr: np.ndarray
+    indices: np.ndarray
+    counts: np.ndarray
+    total_pairs: int = field(init=False)
 
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("window must be at least 1")
-        n = len(self.vocab)
-        total = 0
-        for i, row in self.rows.items():
-            if not 0 <= i < n:
-                raise ValueError(f"leading index {i} out of range")
-            for j, c in row.items():
-                if not 0 <= j < n:
-                    raise ValueError(f"context index {j} out of range")
-                if c < 1:
-                    raise ValueError(f"count {c} is not strictly positive")
-                total += c
-        # keep row order aligned with vocabulary order
-        self.rows = {i: self.rows[i] for i in sorted(self.rows)}
-        self.total_pairs = total
+        indptr, indices, counts = (np.asarray(a) for a in (self.indptr, self.indices, self.counts))
+        _check_csr(indptr, indices, counts, len(self.vocab))
+        self.indptr = indptr.astype(np.int64, copy=False)
+        self.indices = indices.astype(np.int32, copy=False)
+        self.counts = counts.astype(np.int32, copy=False)
+        self.total_pairs = int(self.counts.sum(dtype=np.int64))
+
+    @classmethod
+    def from_rows(cls, window: int, vocab: Vocabulary,
+                  rows: dict[int, dict[int, int]]) -> "CooccurrenceTable":
+        """Build a table from ``{leading index: {context index: count}}``."""
+        n = len(vocab)
+        lead = [i for i, row in rows.items() for _ in row]
+        ctx = [j for row in rows.values() for j in row]
+        counts = np.array([c for row in rows.values() for c in row.values()], dtype=np.int64)
+        if any(not 0 <= k < n for k in lead + ctx):
+            raise ValueError("pair index out of range")
+        if counts.size and counts.min() < 1:
+            raise ValueError("counts must be strictly positive")
+        keys = np.array(lead, dtype=np.int64) * n + np.array(ctx, dtype=np.int64)
+        return cls(window, vocab, *_csr_from_keys(keys, n, counts))
+
+    def __eq__(self, other):
+        if not isinstance(other, CooccurrenceTable):
+            return NotImplemented
+        return (
+            self.window == other.window
+            and self.vocab == other.vocab
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.counts, other.counts)
+        )
+
+    def leading(self) -> np.ndarray:
+        """The leading-word index of every stored pair, aligned with ``indices``."""
+        return np.repeat(np.arange(len(self.vocab), dtype=np.int64), np.diff(self.indptr))
+
+    def pairs(self) -> Iterator[tuple[int, int, int]]:
+        """Yield ``(leading index, context index, count)`` in row order."""
+        return zip(self.leading().tolist(), self.indices.tolist(), self.counts.tolist())
 
     def pair_count(self, i: int, j: int) -> int:
-        return self.rows.get(i, {}).get(j, 0)
+        lo, hi = int(self.indptr[i]), int(self.indptr[i + 1])
+        k = lo + int(np.searchsorted(self.indices[lo:hi], j))
+        return int(self.counts[k]) if k < hi and self.indices[k] == j else 0
 
 
 def count_bigrams(
@@ -178,27 +276,35 @@ def count_bigrams(
     """Count ordered in-vocabulary pairs within ``window`` raw positions.
 
     Offsets are measured over the raw stream, so out-of-vocabulary tokens
-    still occupy positions.  A DOC_BREAK clears the window.
+    still occupy positions.  A DOC_BREAK clears the window.  Pairs are formed
+    one offset at a time over the whole stream, and a running count of
+    document breaks masks the pairs that would cross one.
     """
     if window < 1:
         raise ValueError("window must be at least 1")
     if len(vocab) == 0:
         raise ValueError("vocabulary is empty")
-    index = vocab.index
-    rows: dict[int, dict[int, int]] = {}
-    recent: deque = deque(maxlen=window)
-    for tok in tokens:
-        if tok is DOC_BREAK:
-            recent.clear()
-            continue
-        j = index.get(tok)
-        if j is not None:
-            for i in recent:
-                if i is not None:
-                    row = rows.setdefault(i, {})
-                    row[j] = row.get(j, 0) + 1
-        recent.append(j)
-    return CooccurrenceTable(window, vocab, rows)
+    n = len(vocab)
+    lookup = dict(vocab.index)
+    lookup[DOC_BREAK] = -2
+    stream = np.fromiter(map(lookup.get, tokens, repeat(-1)), dtype=np.int32)
+    breaks = stream == -2
+    doc = np.cumsum(breaks, dtype=np.int32)[~breaks]
+    ids = stream[~breaks]
+    del stream, breaks
+    pairable = [(ids[:-k] >= 0) & (ids[k:] >= 0) & (doc[:-k] == doc[k:])
+                for k in range(1, min(window, len(ids)) + 1)]
+    # keys i * n + j, in int32 whenever every key fits
+    keys = np.empty(sum(int(ok.sum()) for ok in pairable),
+                    dtype=np.int32 if n * n <= MAX_COUNT else np.int64)
+    at = 0
+    for offset, ok in enumerate(pairable, start=1):
+        part = keys[at : at + int(ok.sum())]
+        np.multiply(ids[:-offset][ok], n, out=part, dtype=keys.dtype)
+        part += ids[offset:][ok]
+        at += part.size
+    del pairable, doc
+    return CooccurrenceTable(window, vocab, *_csr_from_keys(keys, n))
 
 
 def merge_cooccurrence(tables: Iterable[CooccurrenceTable]) -> CooccurrenceTable:
@@ -211,15 +317,13 @@ def merge_cooccurrence(tables: Iterable[CooccurrenceTable]) -> CooccurrenceTable
     if not tables:
         raise ValueError("nothing to merge")
     window, vocab = tables[0].window, tables[0].vocab
-    rows: dict[int, dict[int, int]] = {}
     for t in tables:
         if t.window != window or t.vocab is not vocab and t.vocab != vocab:
             raise ValueError("tables disagree on window or vocabulary")
-        for i, row in t.rows.items():
-            out = rows.setdefault(i, {})
-            for j, c in row.items():
-                out[j] = out.get(j, 0) + c
-    return CooccurrenceTable(window, vocab, rows)
+    n = len(vocab)
+    keys = np.concatenate([t.leading() * n + t.indices for t in tables])
+    counts = np.concatenate([t.counts for t in tables])
+    return CooccurrenceTable(window, vocab, *_csr_from_keys(keys, n, counts))
 
 
 def save_unigrams(vocab: Vocabulary, path) -> None:
@@ -269,23 +373,139 @@ def load_unigrams(path) -> Vocabulary:
     return Vocabulary(words, counts, total)
 
 
+#: Pairs formatted per write when saving a bigram file; bounds its memory.
+_WRITE_PAIRS = 1 << 15
+
+
 def save_bigrams(table: CooccurrenceTable, path) -> None:
     """Write ``#window w`` then, per leading word in vocabulary order, one
     ``word<TAB>row_total`` record followed by ``<TAB>context:count`` lines
-    with contexts in descending count."""
-    words = table.vocab.words
-    with atomic_write(path) as fh:
-        fh.write(f"#window {table.window}\n")
-        for i, row in table.rows.items():
-            fh.write(f"{words[i]}\t{sum(row.values())}\n")
-            for j, c in sorted(row.items(), key=lambda jc: (-jc[1], jc[0])):
-                fh.write(f"\t{words[j]}:{c}\n")
+    with contexts in descending count.
+
+    Also writes the binary companion ``<path>.csr`` that
+    :func:`load_bigrams` reads instead of parsing this text.
+    """
+    words, ptr = table.vocab.words, table.indptr
+    text_digest = sha256()
+    with atomic_write(path, binary=True) as fh:
+
+        def write(text: str) -> None:
+            data = text.encode("utf-8")
+            text_digest.update(data)
+            fh.write(data)
+
+        write(f"#window {table.window}\n")
+        start = 0
+        while start < len(words):
+            # whole rows, about _WRITE_PAIRS pairs at a time
+            stop = max(start + 1, int(np.searchsorted(ptr, ptr[start] + _WRITE_PAIRS, "right")) - 1)
+            lo, hi = ptr[start], ptr[stop]
+            lead = np.repeat(np.arange(start, stop), np.diff(ptr[start : stop + 1]))
+            # descending count; the sort is stable, so ties keep ascending context
+            order = np.lexsort((-table.counts[lo:hi], lead))
+            contexts = table.indices[lo:hi][order].tolist()
+            counts = table.counts[lo:hi][order].tolist()
+            bounds = (ptr[start : stop + 1] - lo).tolist()
+            lines = []
+            for i, a, b in zip(range(start, stop), bounds, bounds[1:]):
+                if a < b:
+                    lines.append(f"{words[i]}\t{sum(counts[a:b])}\n")
+                    lines.extend([f"\t{words[j]}:{c}\n" for j, c in zip(contexts[a:b], counts[a:b])])
+            write("".join(lines))
+            start = stop
+    _save_companion(table, companion_path(path), text_digest.digest())
+
+
+# Binary companion of a bigram text file, all integers little-endian:
+#   magic (8 bytes) | window, rows, nnz (uint64 each)
+#   | SHA-256 of the bigram text | SHA-256 of the vocabulary word list
+#   | indptr (int64 x rows+1) | indices (int32 x nnz) | counts (int32 x nnz)
+#   | CRC-32 of every byte before it (uint32)
+_CSR_MAGIC = b"PMVCSR01"
+_CSR_HEAD = struct.Struct("<8sQQQ32s32s")
+_CSR_CHECK = struct.Struct("<I")
+
+
+def companion_path(path) -> str:
+    """Where the binary companion of the bigram file ``path`` lives."""
+    return os.fspath(path) + ".csr"
+
+
+def _words_digest(vocab: Vocabulary) -> bytes:
+    return sha256("\n".join(vocab.words).encode("utf-8")).digest()
+
+
+def _file_digest(path) -> bytes:
+    digest = sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest.digest()
+
+
+def _save_companion(table: CooccurrenceTable, path: str, text_digest: bytes) -> None:
+    """Write the companion with deterministic bytes; arrays are streamed
+    straight from the table, never concatenated."""
+    head = _CSR_HEAD.pack(_CSR_MAGIC, table.window, len(table.vocab), len(table.indices),
+                          text_digest, _words_digest(table.vocab))
+    check = 0
+    with atomic_write(path, binary=True) as fh:
+        for part in (head, *(memoryview(np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<")))
+                             for a in (table.indptr, table.indices, table.counts))):
+            check = zlib.crc32(part, check)
+            fh.write(part)
+        fh.write(_CSR_CHECK.pack(check))
+
+
+def _load_companion(path, vocab: Vocabulary) -> CooccurrenceTable | None:
+    """The table stored in the companion of ``path``, or None when it is
+    missing, unreadable, damaged, or was written for another text or
+    vocabulary."""
+    try:
+        with open(companion_path(path), "rb") as fh:
+            blob = fh.read()
+        text_digest = _file_digest(path)
+    except OSError:
+        return None
+    if len(blob) < _CSR_HEAD.size + _CSR_CHECK.size:
+        return None
+    magic, window, rows, nnz, text_seen, words_seen = _CSR_HEAD.unpack_from(blob)
+    (check,) = _CSR_CHECK.unpack_from(blob, len(blob) - _CSR_CHECK.size)
+    if (magic != _CSR_MAGIC or rows != len(vocab)
+            or len(blob) != _CSR_HEAD.size + 8 * (rows + 1) + 8 * nnz + _CSR_CHECK.size
+            or text_seen != text_digest or words_seen != _words_digest(vocab)
+            or zlib.crc32(memoryview(blob)[: -_CSR_CHECK.size]) != check):
+        return None
+    offset = _CSR_HEAD.size
+    indptr = np.frombuffer(blob, dtype="<i8", count=rows + 1, offset=offset)
+    offset += indptr.nbytes
+    indices = np.frombuffer(blob, dtype="<i4", count=nnz, offset=offset)
+    counts = np.frombuffer(blob, dtype="<i4", count=nnz, offset=offset + indices.nbytes)
+    try:
+        return CooccurrenceTable(window, vocab, indptr, indices, counts)
+    except ValueError:
+        return None
 
 
 def load_bigrams(path, vocab: Vocabulary) -> CooccurrenceTable:
-    """Read a bigram count file back into a table over ``vocab``."""
-    rows: dict[int, dict[int, int]] = {}
-    current: dict[int, int] | None = None
+    """Read a bigram count file back into a table over ``vocab``.
+
+    The companion ``<path>.csr`` is used when it was written with exactly
+    this text and this vocabulary word list and passes the table's structure
+    checks; in every other case the text is parsed.  Either way the result,
+    and any :class:`ParseError`, are the same.
+    """
+    table = _load_companion(path, vocab)
+    return table if table is not None else _parse_bigrams(path, vocab)
+
+
+def _parse_bigrams(path, vocab: Vocabulary) -> CooccurrenceTable:
+    n = len(vocab)
+    keys = array("q")
+    counts = array("q")
+    seen_rows: set[int] = set()
+    current: set[int] | None = None
+    lead_key = 0
     claimed_total = 0
     line_no = 1
     with open(path, encoding="utf-8") as fh:
@@ -315,11 +535,13 @@ def load_bigrams(path, vocab: Vocabulary) -> CooccurrenceTable:
                     c = int(count_text)
                 except ValueError:
                     raise ParseError(path, line_no, f"count {count_text!r} is not an integer") from None
-                if c < 1:
-                    raise ParseError(path, line_no, f"count {c} is not strictly positive")
+                if not 1 <= c <= MAX_COUNT:
+                    raise ParseError(path, line_no, f"count {c} is outside [1, {MAX_COUNT}]")
                 if j in current:
                     raise ParseError(path, line_no, f"duplicate context {context_text!r}")
-                current[j] = c
+                current.add(j)
+                keys.append(lead_key + j)
+                counts.append(c)
                 claimed_total -= c
             else:
                 if current is not None and claimed_total != 0:
@@ -331,14 +553,16 @@ def load_bigrams(path, vocab: Vocabulary) -> CooccurrenceTable:
                 i = vocab.index.get(word)
                 if i is None:
                     raise ParseError(path, line_no, f"unknown word {word!r}")
-                if i in rows:
+                if i in seen_rows:
                     raise ParseError(path, line_no, f"duplicate word {word!r}")
                 try:
                     claimed_total = int(total_text)
                 except ValueError:
                     raise ParseError(path, line_no, f"row total {total_text!r} is not an integer") from None
-                current = {}
-                rows[i] = current
+                seen_rows.add(i)
+                current = set()
+                lead_key = i * n
     if current is not None and claimed_total != 0:
         raise ParseError(path, line_no + 1, "row total does not match its context counts")
-    return CooccurrenceTable(window, vocab, rows)
+    keys, counts = np.frombuffer(keys, dtype=np.int64), np.frombuffer(counts, dtype=np.int64)
+    return CooccurrenceTable(window, vocab, *_csr_from_keys(keys, n, counts))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,10 +54,11 @@ def save_vec(emb: EmbeddingSet, path) -> None:
     error below 5e-7, comfortably inside the error budget of downstream
     cosine computations.
     """
+    template = "%s " + " ".join(["%.6g"] * emb.dim) + "\n"
     with atomic_write(path) as fh:
         fh.write(f"{len(emb)} {emb.dim}\n")
         for word, vec in zip(emb.words, emb.vectors):
-            fh.write(word + " " + " ".join(format(x, ".6g") for x in vec) + "\n")
+            fh.write(template % (word, *vec.tolist()))
 
 
 def load_vec(path) -> EmbeddingSet:
@@ -74,7 +76,8 @@ def load_vec(path) -> EmbeddingSet:
             raise ParseError(path, 1, "header out of range")
         words: list[str] = []
         seen: set[str] = set()
-        vectors = np.empty((n, dim))
+        # rows are stacked at the end: the header is not trusted to size anything
+        values = array("d")
         line_no = 1
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
@@ -93,11 +96,11 @@ def load_vec(path) -> EmbeddingSet:
                 row = [float(x) for x in fields[1:]]
             except ValueError:
                 raise ParseError(path, line_no, f"non-numeric value in record for {word!r}") from None
-            if not all(math.isfinite(x) for x in row):
+            if not all(map(math.isfinite, row)):
                 raise ParseError(path, line_no, f"non-finite value in record for {word!r}")
-            vectors[len(words)] = row
+            values.extend(row)
             seen.add(word)
             words.append(word)
         if len(words) != n:
             raise ParseError(path, line_no, f"header claims {n} records, found {len(words)}")
-    return EmbeddingSet(words, vectors)
+    return EmbeddingSet(words, np.array(values, dtype=float).reshape(n, dim))

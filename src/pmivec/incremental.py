@@ -8,17 +8,20 @@ symmetrized statistics are transposes of each other, so they fold into a
 factor 2 on the weighted least squares.  Blocks between two non-core groups
 are never touched: they are too sparse to be worth fitting.
 
-Per word this costs O(c d^2 + d^3) time and O(c + d^2) transient memory
-beyond the shared core matrix, so total memory does not grow with the
-vocabulary.  Each solve reads only the shared core data and its own row,
-which makes any parallel schedule across words yield identical results.
+Per word this costs O(c d^2 + d^3) time; rows are built a fixed-size batch
+of words at a time, so transient memory beyond the shared core matrix is
+O(batch * c + d^2) and does not grow with the vocabulary.  Each solve reads
+only the shared core data and its own row, which makes any parallel schedule
+across words yield identical results.
 """
 
 from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import islice
 from time import perf_counter
 from typing import Iterable, Iterator
 
@@ -26,7 +29,10 @@ import numpy as np
 
 from .corpus import CooccurrenceTable, Vocabulary
 from .embeddings import EmbeddingSet
-from .statistics import SmoothingConfig, UnigramDistribution, WeightConfig, pmi_row
+from .statistics import PmiRows, SmoothingConfig, UnigramDistribution, WeightConfig
+
+#: Words whose PMI and weight rows are built together in ``solve_words``.
+BATCH_WORDS = 256
 
 
 class DegeneracyWarning(UserWarning):
@@ -153,30 +159,22 @@ def solve_words(
 ) -> Iterator[tuple[int, np.ndarray, bool]]:
     """Stream (word index, vector, degenerate flag) for each requested word.
 
-    Rows are built on demand and discarded after each yield; nothing about a
-    word is retained once its vector is out.  ``core_cols`` holds the
-    vocabulary indices of the regression columns, aligned with the rows of
-    ``core_vectors``.
+    Rows are built for ``BATCH_WORDS`` words at a time and discarded once
+    their vectors are out, so transient memory stays O(BATCH_WORDS * c).
+    ``core_cols`` holds the vocabulary indices of the regression columns,
+    aligned with the rows of ``core_vectors``.
     """
     if mu < 0.0:
         raise ValueError("mu must be nonnegative")
-    core_cols = np.asarray(core_cols, dtype=int)
-    col_pos = {int(j): k for k, j in enumerate(core_cols)}
-
-    def solve_one(i: int) -> tuple[int, np.ndarray, bool]:
-        g, w = pmi_row(
-            i, core_cols, table, uni, smoothing, weighting,
-            normalizer=normalizer, col_pos=col_pos,
-        )
-        vector, degenerate = _solve_ridge(g, w, core_vectors, mu)
-        return int(i), vector, degenerate
-
-    if threads <= 1:
-        for i in word_indices:
-            yield solve_one(i)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(solve_one, word_indices)
+    rows_of = PmiRows(core_cols, table, uni, smoothing, weighting, normalizer)
+    words = iter(word_indices)
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        mapper = pool.map if pool else map
+        while batch := list(islice(words, BATCH_WORDS)):
+            g, w = rows_of(batch)
+            solved = mapper(lambda k: _solve_ridge(g[k], w[k], core_vectors, mu), range(len(batch)))
+            for i, (vector, degenerate) in zip(batch, solved):
+                yield int(i), vector, degenerate
 
 
 @dataclass

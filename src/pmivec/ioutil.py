@@ -4,6 +4,16 @@ import os
 import tempfile
 from contextlib import contextmanager
 
+try:
+    # CPython's built-in SHA-256.  hashlib's default maps OpenSSL, which adds
+    # about 3.6 MB of resident memory to every process that hashes anything.
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python <= 3.11
+    except ImportError:
+        from hashlib import sha256
+
 
 class ParseError(ValueError):
     """An input file violates its documented format.
@@ -19,11 +29,12 @@ class ParseError(ValueError):
 
 
 @contextmanager
-def atomic_write(path):
+def atomic_write(path, binary=False):
     """Open a temp file next to ``path`` and rename it into place on success.
 
     A failure inside the block leaves no partial output behind, which makes
-    every pipeline stage restartable.
+    every pipeline stage restartable.  The file is opened as UTF-8 text with
+    ``\\n`` line endings, or for bytes when ``binary`` is true.
     """
     path = os.fspath(path)
     parent = os.path.dirname(path) or "."
@@ -31,7 +42,11 @@ def atomic_write(path):
         dir=parent, prefix=os.path.basename(path) + ".", suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+        if binary:
+            fh = os.fdopen(fd, "wb")
+        else:
+            fh = os.fdopen(fd, "w", encoding="utf-8", newline="\n")
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -123,20 +123,83 @@ def _check_range(r: range, n: int, label: str) -> None:
         raise ValueError(f"{label} exceeds the vocabulary")
 
 
-def _empirical_block(row_range, col_range, table) -> np.ndarray:
-    """Symmetrized pair counts for the block, divided by 2 * total pairs."""
-    emp = np.zeros((len(row_range), len(col_range)))
-    r0, c0 = row_range.start, col_range.start
-    for i in row_range:
-        for j, c in table.rows.get(i, {}).items():
-            if c0 <= j < col_range.stop:
-                emp[i - r0, j - c0] += c
-    for j in col_range:
-        for i, c in table.rows.get(j, {}).items():
-            if r0 <= i < row_range.stop:
-                emp[i - r0, j - c0] += c
-    emp /= 2.0 * table.total_pairs
-    return emp
+def _smoothed(counts: np.ndarray, indep: np.ndarray, total_pairs: int,
+              smoothing: SmoothingConfig) -> np.ndarray:
+    """Interpolated pair probability from symmetrized counts, which are
+    scaled to the empirical probability in place."""
+    counts /= 2.0 * total_pairs
+    return (1.0 - smoothing.lam) * counts + smoothing.lam * indep
+
+
+def _fit_weights(p: np.ndarray, weighting: WeightConfig) -> np.ndarray:
+    """Raw fit weights; entries without probability mass get weight 0."""
+    weights = weight_transform(p, weighting)
+    weights[~(p > 0.0)] = 0.0
+    return weights
+
+
+def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(position in ``rows``, CSR entry index) of every entry of those rows."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    owner = np.repeat(np.arange(len(rows)), lengths)
+    first = np.cumsum(lengths) - lengths
+    return owner, np.arange(owner.size) + (starts - first)[owner]
+
+
+class PmiRows:
+    """PMI and fit-weight rows of any words against one fixed column set.
+
+    Each entry comes from the symmetrized count c(i, j) + c(j, i), gathered
+    from the table: the forward counts c(i, j) from row ``i`` through a map
+    of column positions, and the reverse counts c(j, i) from the column
+    words' own rows, transposed once here.  A call then costs the nonzeros
+    of the requested rows plus one dense row per word.  ``normalizer``
+    divides the weights (the core block's, so rows share its scale).
+    """
+
+    def __init__(self, cols, table: CooccurrenceTable, uni: UnigramDistribution,
+                 smoothing: SmoothingConfig, weighting: WeightConfig, normalizer: float = 1.0):
+        if table.total_pairs == 0:
+            raise ValueError("table holds no pairs")
+        n = len(table.vocab)
+        self.cols = np.asarray(cols, dtype=np.int64)
+        self.table, self.uni = table, uni
+        self.smoothing, self.weighting, self.normalizer = smoothing, weighting, normalizer
+        self.col_pos = np.full(n, -1, dtype=np.int64)
+        self.col_pos[self.cols] = np.arange(len(self.cols))
+        owner, at = _row_entries(table.indptr, self.cols)
+        ctx = table.indices[at]
+        order = np.argsort(ctx)
+        self.rev_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ctx, minlength=n), out=self.rev_indptr[1:])
+        self.rev_pos = owner[order]
+        self.rev_counts = table.counts[at[order]]
+
+    def _gather(self, rows) -> np.ndarray:
+        """Symmetrized counts, one row per word of ``rows``, as floats."""
+        rows = np.asarray(rows, dtype=np.int64)
+        out = np.zeros((len(rows), len(self.cols)))
+        owner, at = _row_entries(self.table.indptr, rows)
+        k = self.col_pos[self.table.indices[at]]
+        hit = k >= 0
+        out[owner[hit], k[hit]] = self.table.counts[at[hit]]
+        owner, at = _row_entries(self.rev_indptr, rows)
+        out[owner, self.rev_pos[at]] += self.rev_counts[at]
+        return out
+
+    def __call__(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """PMI and weight rows of the words ``rows``; unseen pairs keep
+        weight 0 under lam = 0."""
+        indep = np.outer(self.uni.probs[np.asarray(rows, dtype=np.int64)], self.uni.probs[self.cols])
+        p = _smoothed(self._gather(rows), indep, self.table.total_pairs, self.smoothing)
+        mask = p > 0.0
+        pmi = np.zeros_like(p)
+        pmi[mask] = np.log(p[mask] / indep[mask])
+        weights = _fit_weights(p, self.weighting)
+        if self.normalizer != 1.0:
+            weights /= self.normalizer
+        return pmi, weights
 
 
 def pmi_block(
@@ -151,19 +214,7 @@ def pmi_block(
     n = len(table.vocab)
     _check_range(row_range, n, "row range")
     _check_range(col_range, n, "col range")
-    if table.total_pairs == 0:
-        raise ValueError("table holds no pairs")
-    emp = _empirical_block(row_range, col_range, table)
-    indep = np.outer(
-        uni.probs[row_range.start : row_range.stop],
-        uni.probs[col_range.start : col_range.stop],
-    )
-    p = (1.0 - smoothing.lam) * emp + smoothing.lam * indep
-    mask = p > 0.0
-    pmi = np.zeros_like(p)
-    pmi[mask] = np.log(p[mask] / indep[mask])
-    weights = weight_transform(p, weighting)
-    weights[~mask] = 0.0
+    pmi, weights = PmiRows(col_range, table, uni, smoothing, weighting)(row_range)
     normalizer = 1.0
     if weighting.normalize:
         peak = float(weights.max(initial=0.0))
@@ -176,44 +227,45 @@ def pmi_block(
     )
 
 
-def pmi_row(
-    i: int,
-    cols: np.ndarray,
+def weight_normalizer(
+    core: range,
     table: CooccurrenceTable,
     uni: UnigramDistribution,
     smoothing: SmoothingConfig,
     weighting: WeightConfig,
-    normalizer: float = 1.0,
-    col_pos: dict[int, int] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """PMI and weight row of word ``i`` against the column words ``cols``.
+) -> float:
+    """The normalizer ``pmi_block(core, core, ...)`` records, in O(nnz).
 
-    Built on demand from the sparse table; unseen pairs keep weight 0 under
-    lam = 0.  ``normalizer`` should be the one recorded on the core weight
-    block so row weights share its scale.  Transient cost is O(len(cols))
-    plus the nonzeros of row ``i``.
+    The transform is monotone, so the block maximum is the larger of the
+    weights of the observed pairs and the largest weight of an unobserved
+    pair, lam * P(m)^2 for the most probable core word m.  When (m, m) is
+    observed its probability is at least that, so the result is the same.
+    Every value goes through the block's own arithmetic, so the result
+    equals the dense maximum exactly.
     """
+    n = len(table.vocab)
+    _check_range(core, n, "core range")
     if table.total_pairs == 0:
         raise ValueError("table holds no pairs")
-    cols = np.asarray(cols, dtype=int)
-    if col_pos is None:
-        col_pos = {int(j): k for k, j in enumerate(cols)}
-    emp = np.zeros(len(cols))
-    for j, c in table.rows.get(i, {}).items():
-        k = col_pos.get(j)
-        if k is not None:
-            emp[k] += c
-    rows = table.rows
-    for k, j in enumerate(cols):
-        c = rows.get(int(j), {}).get(i)
-        if c:
-            emp[k] += c
-    emp /= 2.0 * table.total_pairs
-    indep = float(uni.probs[i]) * uni.probs[cols]
-    p = (1.0 - smoothing.lam) * emp + smoothing.lam * indep
-    mask = p > 0.0
-    pmi = np.zeros_like(p)
-    pmi[mask] = np.log(p[mask] / indep[mask])
-    weights = weight_transform(p, weighting) / normalizer
-    weights[~mask] = 0.0
-    return pmi, weights
+    if not weighting.normalize:
+        return 1.0
+    lo, hi = table.indptr[core.start], table.indptr[core.stop]
+    i = np.repeat(np.arange(core.start, core.stop), np.diff(table.indptr[core.start : core.stop + 1]))
+    j = table.indices[lo:hi].astype(np.int64)
+    inside = (j >= core.start) & (j < core.stop)
+    i, j, counts = i[inside], j[inside], table.counts[lo:hi][inside].astype(np.int64)
+    counts[i == j] *= 2  # a diagonal pair is its own transpose
+    # symmetrized count of each observed unordered pair {i, j}
+    keys = np.minimum(i, j) * n + np.maximum(i, j)
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]) if keys.size else keys
+    summed = np.add.reduceat(counts[order], starts) if keys.size else counts
+    keys = keys[starts]
+    probs = uni.probs
+    top = float(probs[core.start : core.stop].max())
+    # every observed pair, then the unobserved (m, m) candidate with count 0
+    indep = np.append(probs[keys // n] * probs[keys % n], top * top)
+    p = _smoothed(np.append(summed, 0).astype(float), indep, table.total_pairs, smoothing)
+    peak = float(_fit_weights(p, weighting).max(initial=0.0))
+    return peak if peak > 0.0 else 1.0

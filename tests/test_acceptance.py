@@ -251,7 +251,7 @@ def test_criterion_07_counting_oracle():
                 continue
             table = count_bigrams(iter(tokens), vocab, window)
             got = Counter(
-                {(i, j): c for i, row in table.rows.items() for j, c in row.items()}
+                {(i, j): c for i, j, c in table.pairs()}
             )
             assert got == brute_force_pairs(tokens, vocab, window)
 
@@ -362,7 +362,7 @@ def test_criterion_10_complexity_shape():
         for i in range(n):
             ctx = rng.choice(c, size=40, replace=False)
             rows[i] = {int(j): int(v) for j, v in zip(ctx, rng.integers(1, 6, 40))}
-        table = CooccurrenceTable(2, vocab, rows)
+        table = CooccurrenceTable.from_rows(2, vocab, rows)
         uni = unigram_distribution(vocab)
         scfg, wcfg = SmoothingConfig(0.1), WeightConfig()
         _, wblk = pmi_block(range(c), range(c), table, uni, scfg, wcfg)

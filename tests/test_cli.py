@@ -1,12 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pmivec
 from pmivec.cli import main
-from pmivec.corpus import count_unigrams, load_bigrams, load_unigrams, tokenize
+from pmivec.corpus import companion_path, count_unigrams, load_bigrams, load_unigrams, tokenize
 from pmivec.embeddings import EmbeddingSet, load_vec, save_vec
 from pmivec.ioutil import atomic_write
 
@@ -98,7 +102,7 @@ class TestCountBigrams:
                     if a in vocab and b in vocab:
                         expected[(vocab.index[a], vocab.index[b])] += 1
         table = load_bigrams(GOLDEN / "tiny-bigrams-w2.txt", vocab)
-        got = Counter({(i, j): c for i, row in table.rows.items() for j, c in row.items()})
+        got = Counter({(i, j): c for i, j, c in table.pairs()})
         assert got == expected
 
     def test_window_one_adjacency(self, tmp_path):
@@ -111,7 +115,7 @@ class TestCountBigrams:
         vocab = load_unigrams(GOLDEN / "tiny-unigrams.txt")
         table = load_bigrams(out, vocab)
         words = vocab.words
-        seen = {(words[i], words[j]): c for i, row in table.rows.items() for j, c in row.items()}
+        seen = {(words[i], words[j]): c for i, j, c in table.pairs()}
         # tokens: the cat sat the dog sat
         assert seen == {
             ("the", "cat"): 1, ("cat", "sat"): 1, ("sat", "the"): 1,
@@ -252,6 +256,44 @@ class TestFactorizeNoncore:
         assert "coverage" in err and "1/7" in err
         assert len(load_vec(out)) == 11
 
+    def test_weighting_mismatch_with_core_manifest_is_data_error(
+        self, small_pipeline, tmp_path, capsys
+    ):
+        core = tmp_path / "core.vec"
+        assert main([
+            "factorize-core", "--bigrams", str(small_pipeline["bigrams"]),
+            "--unigrams", str(small_pipeline["unigrams"]),
+            "--core-size", "10", "--dim", "4", "--out", str(core),
+        ]) == 0
+        out = tmp_path / "grown.vec"
+        code = main([
+            "factorize-noncore", "--bigrams", str(small_pipeline["bigrams"]),
+            "--unigrams", str(small_pipeline["unigrams"]),
+            "--core-vec", str(core), "--count", "4", "--mu", "1.0",
+            "--alpha", "1.0", "--out", str(out),
+        ])
+        assert code == 2
+        assert "alpha" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_growth_chain_with_matching_flags(self, small_pipeline, tmp_path, capsys):
+        flags = ["--lambda", "0.2", "--alpha", "0.75", "--cap", "0.01"]
+        data = ["--bigrams", str(small_pipeline["bigrams"]),
+                "--unigrams", str(small_pipeline["unigrams"])]
+        core, stage1, stage2 = (tmp_path / name for name in ("core.vec", "s1.vec", "s2.vec"))
+        assert main(["factorize-core", *data, "--core-size", "10", "--dim", "4",
+                     *flags, "--out", str(core)]) == 0
+        assert main(["factorize-noncore", *data, "--core-vec", str(core), "--count", "5",
+                     "--mu", "1.0", *flags, "--out", str(stage1)]) == 0
+        assert main(["factorize-noncore", *data, "--core-vec", str(stage1), "--core-size", "10",
+                     "--count", "5", "--mu", "2.0", *flags, "--out", str(stage2)]) == 0
+        assert len(load_vec(stage2)) == 20
+        # the chain's manifests carry the flags on: dropping --cap is refused
+        code = main(["factorize-noncore", *data, "--core-vec", str(stage2), "--core-size", "10",
+                     "--count", "5", "--mu", "2.0", *flags[:4], "--out", str(tmp_path / "s3.vec")])
+        assert code == 2
+        assert "cap" in capsys.readouterr().err
+
 
 class TestEvaluate:
     @pytest.fixture
@@ -294,6 +336,16 @@ class TestEvaluate:
         assert code == 2
         assert "no testsets" in capsys.readouterr().err
 
+    def test_oversized_header_is_data_error(self, eval_setup, tmp_path, capsys):
+        _, tdir = eval_setup
+        vec = tmp_path / "huge.vec"
+        vec.write_text("100000000000 100\nfoo 1\n")
+        code = main(["evaluate", "--vec", str(vec), "--testset-dir", str(tdir),
+                     "--out", str(tmp_path / "r.txt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "huge.vec" in err
+
 
 class TestUsageErrors:
     def test_unknown_subcommand_exits_one(self):
@@ -305,3 +357,82 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["count-unigrams", "--out", "x.txt"])
         assert exc.value.code == 1
+
+
+class TestBigramCompanion:
+    def grow(self, small_pipeline, out_dir):
+        data = ["--bigrams", str(small_pipeline["bigrams"]),
+                "--unigrams", str(small_pipeline["unigrams"])]
+        out_dir.mkdir()
+        codes = [
+            main(["factorize-core", *data, "--core-size", "10", "--dim", "4",
+                  "--out", str(out_dir / "core.vec")]),
+            main(["factorize-noncore", *data, "--core-vec", str(out_dir / "core.vec"),
+                  "--count", "12", "--mu", "1.0", "--out", str(out_dir / "grown.vec")]),
+        ]
+        return codes, [(out_dir / name).read_bytes() for name in ("core.vec", "grown.vec")]
+
+    def test_companion_bytes_identical_across_runs(self, small_pipeline, tmp_path):
+        blobs = []
+        for name in ("one.txt", "two.txt"):
+            out = tmp_path / name
+            assert main(["count-bigrams", "--input", str(small_pipeline["corpus"]),
+                         "--unigrams", str(small_pipeline["unigrams"]),
+                         "--window", "2", "--out", str(out)]) == 0
+            assert out.read_bytes() == small_pipeline["bigrams"].read_bytes()
+            blobs.append(Path(companion_path(out)).read_bytes())
+        assert blobs[0] == blobs[1]
+
+    def test_missing_or_stale_companion_changes_no_output(self, small_pipeline, tmp_path):
+        cache = Path(companion_path(small_pipeline["bigrams"]))
+        pristine = cache.read_bytes()
+        try:
+            expected = self.grow(small_pipeline, tmp_path / "with")
+            assert expected[0] == [0, 0]
+            cache.unlink()
+            assert self.grow(small_pipeline, tmp_path / "without") == expected
+            # a companion written for other counts (window 1) is stale here
+            other = tmp_path / "w1.txt"
+            assert main(["count-bigrams", "--input", str(small_pipeline["corpus"]),
+                         "--unigrams", str(small_pipeline["unigrams"]),
+                         "--window", "1", "--out", str(other)]) == 0
+            cache.write_bytes(Path(companion_path(other)).read_bytes())
+            assert self.grow(small_pipeline, tmp_path / "stale") == expected
+        finally:
+            cache.write_bytes(pristine)
+
+    def test_edited_text_with_companion_is_data_error(self, small_pipeline, tmp_path, capsys):
+        bigrams = tmp_path / "bi.txt"
+        bigrams.write_bytes(small_pipeline["bigrams"].read_bytes())
+        Path(companion_path(bigrams)).write_bytes(
+            Path(companion_path(small_pipeline["bigrams"])).read_bytes())
+        text = bigrams.read_text()
+        bigrams.write_text(text.replace(":", ":x", 1))
+        code = main(["factorize-core", "--bigrams", str(bigrams),
+                     "--unigrams", str(small_pipeline["unigrams"]),
+                     "--core-size", "10", "--dim", "4", "--out", str(tmp_path / "c.vec")])
+        assert code == 2
+        assert "is not an integer" in capsys.readouterr().err
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["pmivec", "pmivec.cli"])
+    def test_module_form_runs_the_stage(self, module, tmp_path):
+        src = str(Path(pmivec.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        out = tmp_path / "uni.txt"
+        done = subprocess.run(
+            [sys.executable, "-m", module, "count-unigrams", "--input",
+             str(GOLDEN / "tiny-corpus.txt"), "--min-count", "1", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert out.read_bytes() == (GOLDEN / "tiny-unigrams.txt").read_bytes()
+        done = subprocess.run(
+            [sys.executable, "-m", module, "count-unigrams", "--input",
+             str(tmp_path / "missing.txt"), "--out", str(tmp_path / "x.txt")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert "missing.txt" in done.stderr

@@ -1,6 +1,9 @@
 import io
+import zlib
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pmivec.corpus import (
@@ -9,6 +12,7 @@ from pmivec.corpus import (
     CooccurrenceTable,
     Vocabulary,
     build_vocabulary,
+    companion_path,
     count_bigrams,
     count_unigrams,
     load_bigrams,
@@ -27,7 +31,7 @@ def pairs_of(table):
     """Flatten a table to a Counter of (leading word, context word) pairs."""
     words = table.vocab.words
     return Counter(
-        {(words[i], words[j]): c for i, row in table.rows.items() for j, c in row.items()}
+        {(words[i], words[j]): c for i, j, c in table.pairs()}
     )
 
 
@@ -132,7 +136,7 @@ class TestCountBigrams:
     def test_single_token_gives_empty_table(self):
         vocab = count_unigrams(iter(["a"]))
         table = count_bigrams(iter(["a"]), vocab, 4)
-        assert table.rows == {} and table.total_pairs == 0
+        assert list(table.pairs()) == [] and table.total_pairs == 0
 
     def test_window_one_adjacent_only(self):
         vocab = count_unigrams(iter(["a", "b", "c"]))
@@ -155,6 +159,17 @@ class TestCountBigrams:
         with pytest.raises(ValueError):
             count_bigrams(iter(["a", "b"]), vocab, 1)
 
+    def test_vocabulary_too_wide_for_int32_pair_keys(self):
+        # 50,000 words: i * n + j overflows int32 for the last words
+        n = 50_000
+        words = [f"w{k}" for k in range(n)]
+        vocab = Vocabulary(words, [2] * n, 2 * n)
+        tokens = ["w49999", "w49998", "w1", DOC_BREAK, "w49998", "w49999"]
+        table = count_bigrams(iter(tokens), vocab, 2)
+        assert sorted(table.pairs()) == [
+            (49998, 1, 1), (49998, 49999, 1), (49999, 1, 1), (49999, 49998, 1),
+        ]
+
     def test_matches_brute_force_on_random_streams(self):
         import numpy as np
 
@@ -169,7 +184,7 @@ class TestCountBigrams:
                 continue
             table = count_bigrams(iter(tokens), vocab, window)
             expected = brute_force_pairs(tokens, vocab, window)
-            got = Counter({k: c for i, row in table.rows.items() for k, c in [((i, j), c) for j, c in row.items()]})
+            got = Counter({(i, j): c for i, j, c in table.pairs()})
             assert got == expected
 
 
@@ -284,7 +299,29 @@ class TestBigramFiles:
         path = tmp_path / "empty.txt"
         path.write_text("#window 3\n")
         table = load_bigrams(path, vocab)
-        assert table.rows == {} and table.window == 3
+        assert list(table.pairs()) == [] and table.window == 3
+
+    def test_count_beyond_int32_rejected(self, tmp_path, vocab_and_table):
+        vocab, _ = vocab_and_table
+        path = tmp_path / "bad.txt"
+        path.write_text("#window 2\na\t2147483648\n\tb:2147483648\n")
+        with pytest.raises(ParseError, match=r"bad.txt:3"):
+            load_bigrams(path, vocab)
+
+    def test_companion_with_valid_digest_but_bad_structure_is_ignored(
+        self, tmp_path, vocab_and_table
+    ):
+        vocab, table = vocab_and_table
+        path = tmp_path / "bi.txt"
+        save_bigrams(table, path)
+        cache = Path(companion_path(path))
+        blob = bytearray(cache.read_bytes())
+        # zero the last count, then re-seal the file so only the
+        # structure check can notice
+        blob[-8:-4] = (0).to_bytes(4, "little")
+        blob[-4:] = zlib.crc32(bytes(blob[:-4])).to_bytes(4, "little")
+        cache.write_bytes(bytes(blob))
+        assert load_bigrams(path, vocab) == table
 
     def test_unknown_word_rejected(self, tmp_path, vocab_and_table):
         vocab, _ = vocab_and_table
@@ -298,14 +335,34 @@ class TestTableInvariants:
     def test_rejects_out_of_range_indices(self):
         vocab = count_unigrams(iter(["a", "b"]))
         with pytest.raises(ValueError):
-            CooccurrenceTable(1, vocab, {5: {0: 1}})
+            CooccurrenceTable.from_rows(1, vocab, {5: {0: 1}})
 
     def test_rejects_nonpositive_counts(self):
         vocab = count_unigrams(iter(["a", "b"]))
         with pytest.raises(ValueError):
-            CooccurrenceTable(1, vocab, {0: {1: 0}})
+            CooccurrenceTable.from_rows(1, vocab, {0: {1: 0}})
 
     def test_rows_reordered_to_vocab_order(self):
         vocab = count_unigrams(iter(["a", "b", "c"]))
-        table = CooccurrenceTable(1, vocab, {2: {0: 1}, 0: {1: 1}})
-        assert list(table.rows) == [0, 2]
+        table = CooccurrenceTable.from_rows(1, vocab, {2: {0: 1}, 0: {1: 1}})
+        assert [i for i, _, _ in table.pairs()] == [0, 2]
+
+    def test_counts_beyond_int32_refused(self):
+        vocab = count_unigrams(iter(["a", "b"]))
+        with pytest.raises(ValueError, match="exceeds"):
+            CooccurrenceTable.from_rows(1, vocab, {0: {1: 2**31}})
+
+    def test_csr_structure_checked(self):
+        vocab = count_unigrams(iter(["a", "b"]))
+        good = (np.array([0, 2, 2]), np.array([0, 1]), np.array([1, 1]))
+        assert CooccurrenceTable(1, vocab, *good).total_pairs == 2
+        for indptr, indices, counts in [
+            ([0, 2], [0, 1], [1, 1]),        # one row pointer missing
+            ([0, 3, 2], [0, 1], [1, 1]),     # not monotone
+            ([0, 2, 2], [1, 0], [1, 1]),     # columns out of order
+            ([0, 2, 2], [1, 1], [1, 1]),     # duplicate column
+            ([0, 2, 2], [0, 2], [1, 1]),     # column out of range
+            ([0, 2, 2], [0, 1], [1, 0]),     # zero count
+        ]:
+            with pytest.raises(ValueError):
+                CooccurrenceTable(1, vocab, np.array(indptr), np.array(indices), np.array(counts))

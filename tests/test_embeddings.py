@@ -55,6 +55,13 @@ class TestSaveVec:
         save_vec(emb, tmp_path / "b.vec")
         assert (tmp_path / "a.vec").read_bytes() == (tmp_path / "b.vec").read_bytes()
 
+    def test_awkward_values_match_per_float_formatting(self, tmp_path):
+        row = np.array([-0.0, 1e-300, 123456789.0, 0.1, -2.5e-7, 1e21, 5e-324, 7.0])
+        path = tmp_path / "awkward.vec"
+        save_vec(EmbeddingSet(["odd"], row[None, :]), path)
+        expected = "1 8\nodd " + " ".join(format(x, ".6g") for x in row) + "\n"
+        assert path.read_bytes() == expected.encode()
+
 
 class TestLoadVec:
     def test_header_record_mismatch(self, tmp_path):
@@ -91,4 +98,10 @@ class TestLoadVec:
         path = tmp_path / "bad.vec"
         path.write_text("1 1\na 1\nb 2\n")
         with pytest.raises(ParseError, match="more than 1"):
+            load_vec(path)
+
+    def test_oversized_header_is_parse_error(self, tmp_path):
+        path = tmp_path / "huge.vec"
+        path.write_text("100000000000 100\nfoo 1\n")
+        with pytest.raises(ParseError, match="huge.vec:2"):
             load_vec(path)

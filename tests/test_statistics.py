@@ -5,13 +5,14 @@ import pytest
 
 from pmivec.corpus import CooccurrenceTable, Vocabulary, count_bigrams, count_unigrams
 from pmivec.statistics import (
+    PmiRows,
     SmoothingConfig,
     UnigramDistribution,
     WeightConfig,
     pmi_block,
-    pmi_row,
     smoothed_bigram_prob,
     unigram_distribution,
+    weight_normalizer,
     weight_transform,
 )
 
@@ -196,7 +197,7 @@ class TestPmiBlock:
             i: {j: k[i] * k[j] for j in range(4)}
             for i in range(4)
         }
-        table = CooccurrenceTable(1, vocab, rows)
+        table = CooccurrenceTable.from_rows(1, vocab, rows)
         uni = unigram_distribution(vocab)
         block, _ = pmi_block(
             range(4), range(4), table, uni, SmoothingConfig(lam=0.0), WeightConfig()
@@ -221,17 +222,56 @@ class TestPmiRow:
         core = range(0, 5)
         gblk, wblk = pmi_block(core, core, table, uni, scfg, wcfg)
         cols = np.arange(5)
+        rows_of = PmiRows(cols, table, uni, scfg, wcfg, normalizer=wblk.normalizer)
         for i in core:
-            g, w = pmi_row(i, cols, table, uni, scfg, wcfg, normalizer=wblk.normalizer)
-            np.testing.assert_array_equal(g, gblk.values[i])
-            np.testing.assert_array_equal(w, wblk.values[i])
+            g, w = rows_of([i])
+            np.testing.assert_array_equal(g[0], gblk.values[i])
+            np.testing.assert_array_equal(w[0], wblk.values[i])
+        # one batch of rows, in any order and with repeats, gives the same rows
+        order = [3, 0, 4, 3, 1, 2]
+        g, w = rows_of(order)
+        np.testing.assert_array_equal(g, gblk.values[order])
+        np.testing.assert_array_equal(w, wblk.values[order])
 
     def test_arbitrary_column_sets(self):
         vocab, table = make_table(["a", "b", "a", "c", "b", "a"], 2)
         uni = unigram_distribution(vocab)
         scfg, wcfg = SmoothingConfig(lam=0.0), WeightConfig(normalize=False)
         cols = np.array([vocab.index["c"], vocab.index["a"]])
-        g, w = pmi_row(vocab.index["b"], cols, table, uni, scfg, wcfg)
-        assert g.shape == (2,) and w.shape == (2,)
+        g, w = PmiRows(cols, table, uni, scfg, wcfg)([vocab.index["b"]])
+        assert g.shape == (1, 2) and w.shape == (1, 2)
         full, _ = pmi_block(range(3), range(3), table, uni, scfg, wcfg)
-        np.testing.assert_allclose(g, full.values[vocab.index["b"], cols])
+        np.testing.assert_allclose(g[0], full.values[vocab.index["b"], cols])
+
+
+class TestWeightNormalizer:
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("alpha,cap", [(0.5, None), (0.75, None), (1.3, 0.002)])
+    def test_equals_dense_block_maximum_exactly(self, lam, alpha, cap):
+        rng = np.random.default_rng(12)
+        words = [chr(ord("a") + k // 26) + chr(ord("a") + k % 26) for k in range(40)]
+        tokens = [words[int(k)] for k in rng.zipf(1.5, 3000) % 40]
+        vocab, table = make_table(tokens, 3)
+        uni = unigram_distribution(vocab)
+        scfg, wcfg = SmoothingConfig(lam=lam), WeightConfig(alpha=alpha, cap=cap)
+        for size in (1, 5, 17, len(vocab)):
+            core = range(0, size)
+            _, wblk = pmi_block(core, core, table, uni, scfg, wcfg)
+            assert weight_normalizer(core, table, uni, scfg, wcfg) == wblk.normalizer
+
+    def test_unobserved_top_pair_sets_the_scale(self):
+        # the most frequent word never pairs with itself, so with full
+        # backoff the block maximum is the unobserved lam * P(0)^2 cell
+        vocab = Vocabulary(["a", "b", "c"], [5, 3, 1], 9)
+        table = CooccurrenceTable.from_rows(1, vocab, {0: {1: 1, 2: 1}})
+        uni = unigram_distribution(vocab)
+        scfg, wcfg = SmoothingConfig(lam=1.0), WeightConfig(alpha=1.0)
+        _, wblk = pmi_block(range(3), range(3), table, uni, scfg, wcfg)
+        got = weight_normalizer(range(3), table, uni, scfg, wcfg)
+        assert got == wblk.normalizer == float(uni.probs[0] * uni.probs[0])
+
+    def test_off_when_not_normalizing(self):
+        vocab, table = make_table(["a", "b", "a", "c"], 2)
+        uni = unigram_distribution(vocab)
+        cfg = WeightConfig(normalize=False)
+        assert weight_normalizer(range(3), table, uni, SmoothingConfig(), cfg) == 1.0
