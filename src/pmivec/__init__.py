@@ -5,30 +5,15 @@ vocabulary without retraining."""
 __version__ = "0.1.0"
 
 from .core_solver import CoreSolveConfig, em_factorize, psd_truncate, weighted_frobenius
-from .corpus import (
-    CleaningRules,
-    CooccurrenceTable,
-    Vocabulary,
-    count_bigrams,
-    count_unigrams,
-    tokenize,
-)
+from .corpus import CooccurrenceTable, Vocabulary, count_bigrams, count_unigrams, tokenize
 from .embeddings import EmbeddingSet, load_vec, save_vec
 from .evaluation import cosine, eval_analogy_3cosmul, eval_choice, eval_similarity, spearman
-from .incremental import (
-    MuSchedule,
-    VocabPartition,
-    block_factorize,
-    combine,
-    partition_vocabulary,
-    solve_noncore_word,
-)
+from .incremental import DegeneracyWarning, solve_noncore_word, solve_words
 from .statistics import (
     PmiRows,
     SmoothingConfig,
     WeightConfig,
     pmi_block,
-    smoothed_bigram_prob,
     unigram_distribution,
     weight_normalizer,
     weight_transform,

@@ -1,6 +1,6 @@
 """Command-line pipeline stages: counting, factorization, evaluation.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 data or I/O error, 3 numerical failure.
 Every subcommand writes its output atomically and drops a JSON manifest
 (`<out>.manifest.json`) recording the resolved configuration and wall time.
 """
@@ -18,7 +18,6 @@ import numpy as np
 from . import __version__
 from .core_solver import CoreSolveConfig, em_factorize
 from .corpus import (
-    CleaningRules,
     count_bigrams,
     count_unigrams,
     load_bigrams,
@@ -38,8 +37,8 @@ from .evaluation import (
     load_choice,
     load_similarity,
 )
-from .incremental import GroupReport, combine, partition_vocabulary, solve_words
-from .ioutil import ParseError, atomic_write
+from .incremental import solve_words
+from .ioutil import atomic_write
 from .statistics import (
     SmoothingConfig,
     WeightConfig,
@@ -111,13 +110,13 @@ def _smoothing(args) -> SmoothingConfig:
 
 
 def _weighting(args) -> WeightConfig:
-    return WeightConfig(alpha=args.alpha, cap=args.cap, normalize=True)
+    return WeightConfig(alpha=args.alpha, cap=args.cap)
 
 
 def cmd_count_unigrams(args) -> None:
     started = time.perf_counter()
     with open(args.input, encoding="utf-8") as fh:
-        vocab = count_unigrams(tokenize(fh, CleaningRules()), min_count=args.min_count)
+        vocab = count_unigrams(tokenize(fh), min_count=args.min_count)
     save_unigrams(vocab, args.out)
     _write_manifest(args.out, "count-unigrams", args, started, [args.input], [args.out])
     print(f"{len(vocab)} words kept of {vocab.total_tokens} tokens -> {args.out}")
@@ -127,7 +126,7 @@ def cmd_count_bigrams(args) -> None:
     started = time.perf_counter()
     vocab = load_unigrams(args.unigrams)
     with open(args.input, encoding="utf-8") as fh:
-        table = count_bigrams(tokenize(fh, CleaningRules()), vocab, args.window)
+        table = count_bigrams(tokenize(fh), vocab, args.window)
     save_bigrams(table, args.out)
     _write_manifest(
         args.out, "count-bigrams", args, started, [args.input, args.unigrams], [args.out]
@@ -138,20 +137,20 @@ def cmd_count_bigrams(args) -> None:
 def cmd_factorize_core(args) -> None:
     started = time.perf_counter()
     vocab = load_unigrams(args.unigrams)
-    if args.core_size < args.dim:
+    if not args.dim <= args.core_size <= len(vocab):
         raise ValueError(
-            f"--core-size {args.core_size} must be at least --dim {args.dim}"
+            f"--core-size {args.core_size} must lie between --dim {args.dim} "
+            f"and the {len(vocab)} vocabulary words"
         )
-    partition = partition_vocabulary(vocab, args.core_size, [], dim=args.dim)
     table = load_bigrams(args.bigrams, vocab)
     uni = unigram_distribution(vocab)
-    core = partition.core
+    core = range(args.core_size)
     gblk, wblk = pmi_block(core, core, table, uni, _smoothing(args), _weighting(args))
     del table  # the solve needs only the blocks: release the counts before its memory peak
     factor, diag = em_factorize(
         gblk.values, wblk.values, CoreSolveConfig(args.dim, args.iters, args.tol)
     )
-    emb = EmbeddingSet(vocab.words[core.start : core.stop], factor)
+    emb = EmbeddingSet(vocab.words[: args.core_size], factor)
     save_vec(emb, args.out)
     _write_manifest(
         args.out, "factorize-core", args, started,
@@ -246,30 +245,25 @@ def cmd_factorize_noncore(args) -> None:
     degeneracies = 0
     stream = solve_words(
         core_vectors, np.asarray(cols), new_indices, table, uni,
-        smoothing, weighting, args.mu, normalizer=normalizer, threads=args.threads,
+        smoothing, weighting, args.mu, normalizer=normalizer,
     )
     for pos, (_, vector, degenerate) in enumerate(stream):
         vectors[pos] = vector
         degeneracies += degenerate
-    report = GroupReport(len(new_indices), args.mu, degeneracies, time.perf_counter() - solve_start)
-    new_set = EmbeddingSet([vocab.words[i] for i in new_indices], vectors)
-    merged = combine(base, [new_set])
+    seconds = time.perf_counter() - solve_start
+    merged = EmbeddingSet(base.words + [vocab.words[i] for i in new_indices],
+                          np.vstack([base.vectors, vectors]))
     save_vec(merged, args.out)
+    report = {"words": len(new_indices), "mu": args.mu, "degeneracies": degeneracies,
+              "seconds": round(seconds, 6)}
     _write_manifest(
         args.out, "factorize-noncore", args, started,
         [args.bigrams, args.unigrams, args.core_vec], [args.out],
-        extra={
-            "report": {
-                "words": report.words,
-                "mu": report.mu,
-                "degeneracies": report.degeneracies,
-                "seconds": round(report.seconds, 6),
-            }
-        },
+        extra={"report": report},
     )
     print(
-        f"solved {report.words} words (mu={report.mu:g}, "
-        f"{report.degeneracies} degenerate, {report.seconds:.2f}s); "
+        f"solved {len(new_indices)} words (mu={args.mu:g}, "
+        f"{degeneracies} degenerate, {seconds:.2f}s); "
         f"{len(merged)} total -> {args.out}"
     )
 
@@ -359,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=_unit_float, default=0.1)
     p.add_argument("--alpha", type=_positive_float, default=0.5)
     p.add_argument("--cap", type=_positive_float, default=None)
-    p.add_argument("--threads", type=_positive_int, default=1,
-                   help="worker threads for the per-word solves (default 1)")
     p.add_argument("--out", required=True, help=".vec file to write")
     p.set_defaults(func=cmd_factorize_noncore)
 
@@ -378,10 +370,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except ParseError as exc:
-        print(f"pmivec: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (FileNotFoundError, IsADirectoryError, PermissionError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"pmivec: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except np.linalg.LinAlgError as exc:

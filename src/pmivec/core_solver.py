@@ -103,7 +103,7 @@ def em_factorize(
         raise ValueError("target and weights must share a shape")
     if target.ndim != 2 or target.shape[0] != target.shape[1]:
         raise ValueError("target must be square")
-    if np.any(weights < 0.0) or np.any(weights > 1.0):
+    if not np.all((weights >= 0.0) & (weights <= 1.0)):
         raise ValueError("weights must lie in [0, 1]")
     n = target.shape[0]
     if cfg.dim > n:

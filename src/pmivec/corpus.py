@@ -1,8 +1,8 @@
-"""Corpus ingestion: token cleaning, vocabulary building, windowed pair counting.
+"""Corpus ingestion: tokenizing, vocabulary building, windowed pair counting.
 
-Counting is a pure fold over the token stream, so shards counted separately
-(split at document boundaries) can be merged with the ``merge_*`` helpers and
-always reproduce the single-pass result.
+Tokens follow fixed rules: a line is lowercased, ASCII punctuation is
+removed, and each remaining whitespace-separated span is kept only when it
+is made solely of ASCII letters.  An empty line separates documents.
 
 Pair counts live in one CSR table.  ``save_bigrams`` writes them as text plus
 a binary companion, which ``load_bigrams`` reads instead of parsing the text
@@ -12,7 +12,6 @@ whenever it was written for that very text and vocabulary.
 from __future__ import annotations
 
 import os
-import re
 import string
 import struct
 import zlib
@@ -29,46 +28,24 @@ from .ioutil import ParseError, atomic_write, sha256
 #: Emitted between documents; counting windows never cross it.
 DOC_BREAK = None
 
-
-@dataclass(frozen=True)
-class CleaningRules:
-    """How raw text becomes tokens.
-
-    Each whitespace-separated span is lowercased (if enabled), characters in
-    ``strip_chars`` are removed, and the result is kept only when it is
-    nonempty and made solely of ``alphabet`` characters.  An input line equal
-    to ``boundary_line`` marks a document boundary (set to None to disable).
-    """
-
-    lowercase: bool = True
-    strip_chars: str = string.punctuation
-    alphabet: str = string.ascii_lowercase
-    boundary_line: str | None = ""
+_STRIP = str.maketrans("", "", string.punctuation)
 
 
-def tokenize(
-    source: str | Iterable[str], rules: CleaningRules = CleaningRules()
-) -> Iterator[str | None]:
+def tokenize(source: str | Iterable[str]) -> Iterator[str | None]:
     """Yield cleaned tokens from a string or an iterable of lines.
 
     Streams line by line in bounded memory.  Content never raises: spans that
-    fail the cleaning rules are dropped.  Document boundaries are yielded as
+    fail the token rules are dropped.  Empty lines are yielded as
     :data:`DOC_BREAK`.
     """
     lines = source.splitlines() if isinstance(source, str) else source
-    strip_table = str.maketrans("", "", rules.strip_chars)
-    keep = re.compile("[%s]+" % re.escape(rules.alphabet)).fullmatch
     for line in lines:
-        line = line.rstrip("\n")
-        if rules.boundary_line is not None and line == rules.boundary_line:
+        if not line.rstrip("\n"):
             yield DOC_BREAK
             continue
-        for raw in line.split():
-            if rules.lowercase:
-                raw = raw.lower()
-            raw = raw.translate(strip_table)
-            if raw and keep(raw):
-                yield raw
+        for token in line.lower().translate(_STRIP).split():
+            if token.isascii() and token.isalpha():
+                yield token
 
 
 @dataclass
@@ -110,41 +87,15 @@ class Vocabulary:
         return word in self.index
 
 
-def tally_unigrams(tokens: Iterable[str | None]) -> tuple[Counter, int]:
-    """Count occurrences per token; returns (counts, total token count)."""
-    counts: Counter = Counter()
-    total = 0
-    for tok in tokens:
-        if tok is DOC_BREAK:
-            continue
-        counts[tok] += 1
-        total += 1
-    return counts, total
-
-
-def merge_unigram_tallies(tallies: Iterable[tuple[Counter, int]]) -> tuple[Counter, int]:
-    """Associative, order-independent merge of sharded unigram tallies."""
-    merged: Counter = Counter()
-    total = 0
-    for counts, n in tallies:
-        merged.update(counts)
-        total += n
-    return merged, total
-
-
-def build_vocabulary(counts: Counter, total_tokens: int, min_count: int = 1) -> Vocabulary:
-    """Apply the frequency threshold and fix the word order."""
-    if min_count < 1:
-        raise ValueError("min_count must be at least 1")
-    kept = [(w, c) for w, c in counts.items() if c >= min_count]
-    kept.sort(key=lambda wc: (-wc[1], wc[0]))
-    return Vocabulary([w for w, _ in kept], [c for _, c in kept], total_tokens)
-
-
 def count_unigrams(tokens: Iterable[str | None], min_count: int = 1) -> Vocabulary:
     """Tally a token stream and build the frequency-thresholded vocabulary."""
-    counts, total = tally_unigrams(tokens)
-    return build_vocabulary(counts, total, min_count)
+    if min_count < 1:
+        raise ValueError("min_count must be at least 1")
+    counts = Counter(tokens)
+    counts.pop(DOC_BREAK, None)
+    kept = sorted(((w, c) for w, c in counts.items() if c >= min_count),
+                  key=lambda wc: (-wc[1], wc[0]))
+    return Vocabulary([w for w, _ in kept], [c for _, c in kept], counts.total())
 
 
 #: Largest pair count a table holds; its counts are stored as int32.
@@ -256,13 +207,10 @@ class CooccurrenceTable:
             and np.array_equal(self.counts, other.counts)
         )
 
-    def leading(self) -> np.ndarray:
-        """The leading-word index of every stored pair, aligned with ``indices``."""
-        return np.repeat(np.arange(len(self.vocab), dtype=np.int64), np.diff(self.indptr))
-
     def pairs(self) -> Iterator[tuple[int, int, int]]:
         """Yield ``(leading index, context index, count)`` in row order."""
-        return zip(self.leading().tolist(), self.indices.tolist(), self.counts.tolist())
+        leading = np.repeat(np.arange(len(self.vocab)), np.diff(self.indptr))
+        return zip(leading.tolist(), self.indices.tolist(), self.counts.tolist())
 
     def pair_count(self, i: int, j: int) -> int:
         lo, hi = int(self.indptr[i]), int(self.indptr[i + 1])
@@ -305,25 +253,6 @@ def count_bigrams(
         at += part.size
     del pairable, doc
     return CooccurrenceTable(window, vocab, *_csr_from_keys(keys, n))
-
-
-def merge_cooccurrence(tables: Iterable[CooccurrenceTable]) -> CooccurrenceTable:
-    """Associative merge of tables counted over shards of one corpus.
-
-    All tables must share the window and vocabulary.  Shard boundaries must
-    coincide with document boundaries for the merge to equal a single pass.
-    """
-    tables = list(tables)
-    if not tables:
-        raise ValueError("nothing to merge")
-    window, vocab = tables[0].window, tables[0].vocab
-    for t in tables:
-        if t.window != window or t.vocab is not vocab and t.vocab != vocab:
-            raise ValueError("tables disagree on window or vocabulary")
-    n = len(vocab)
-    keys = np.concatenate([t.leading() * n + t.indices for t in tables])
-    counts = np.concatenate([t.counts for t in tables])
-    return CooccurrenceTable(window, vocab, *_csr_from_keys(keys, n, counts))
 
 
 def save_unigrams(vocab: Vocabulary, path) -> None:

@@ -28,13 +28,22 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
+def _umask() -> int:
+    """The process umask; reading it means setting it, so it is set back."""
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 @contextmanager
 def atomic_write(path, binary=False):
     """Open a temp file next to ``path`` and rename it into place on success.
 
     A failure inside the block leaves no partial output behind, which makes
     every pipeline stage restartable.  The file is opened as UTF-8 text with
-    ``\\n`` line endings, or for bytes when ``binary`` is true.
+    ``\\n`` line endings, or for bytes when ``binary`` is true.  It gets the
+    mode a plain ``open`` would give it, 0o666 less the umask, rather than
+    the 0o600 of a temp file.
     """
     path = os.fspath(path)
     parent = os.path.dirname(path) or "."
@@ -48,6 +57,7 @@ def atomic_write(path, binary=False):
             fh = os.fdopen(fd, "w", encoding="utf-8", newline="\n")
         with fh:
             yield fh
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         try:

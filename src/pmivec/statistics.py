@@ -30,11 +30,10 @@ class SmoothingConfig:
 @dataclass(frozen=True)
 class WeightConfig:
     """Monotone transform turning a pair probability into a fit weight:
-    min(p, cap) ** alpha, optionally rescaled so a block's maximum is 1."""
+    min(p, cap) ** alpha, then divided by the core block's maximum."""
 
     alpha: float = 0.5
     cap: float | None = None
-    normalize: bool = True
 
     def __post_init__(self):
         if self.alpha <= 0.0:
@@ -66,25 +65,11 @@ def unigram_distribution(vocab: Vocabulary) -> UnigramDistribution:
     return UnigramDistribution(counts / counts.sum())
 
 
-def smoothed_bigram_prob(
-    i: int,
-    j: int,
-    table: CooccurrenceTable,
-    uni: UnigramDistribution,
-    cfg: SmoothingConfig,
-) -> float:
-    """Interpolated probability of the symmetrized pair (i, j)."""
-    if table.total_pairs == 0:
-        raise ValueError("table holds no pairs")
-    emp = (table.pair_count(i, j) + table.pair_count(j, i)) / (2.0 * table.total_pairs)
-    return (1.0 - cfg.lam) * emp + cfg.lam * float(uni.probs[i] * uni.probs[j])
-
-
 def weight_transform(p, cfg: WeightConfig):
     """Monotone non-decreasing map from probability to raw fit weight.
 
-    Normalization (when requested) is applied by the block builders, which
-    know the block maximum.
+    The division by the block maximum is left to the block builders, which
+    know that maximum.
     """
     p = np.asarray(p, dtype=float)
     if cfg.cap is not None:
@@ -106,8 +91,9 @@ class WeightBlock:
     """Fit weights paired with a PmiBlock.
 
     ``normalizer`` is the divisor that was applied to the raw transform
-    output (1.0 when normalization is off).  Row builders reuse it so that
-    weights stay on one scale across an entire factorization run.
+    output: the block maximum, or 1.0 when no weight is positive.  Row
+    builders reuse it so that weights stay on one scale across an entire
+    factorization run.
     """
 
     row_words: range
@@ -215,15 +201,11 @@ def pmi_block(
     _check_range(row_range, n, "row range")
     _check_range(col_range, n, "col range")
     pmi, weights = PmiRows(col_range, table, uni, smoothing, weighting)(row_range)
-    normalizer = 1.0
-    if weighting.normalize:
-        peak = float(weights.max(initial=0.0))
-        if peak > 0.0:
-            normalizer = peak
-            weights = weights / normalizer
+    peak = float(weights.max(initial=0.0))
+    normalizer = peak if peak > 0.0 else 1.0
     return (
         PmiBlock(row_range, col_range, pmi),
-        WeightBlock(row_range, col_range, weights, normalizer),
+        WeightBlock(row_range, col_range, weights / normalizer, normalizer),
     )
 
 
@@ -247,8 +229,6 @@ def weight_normalizer(
     _check_range(core, n, "core range")
     if table.total_pairs == 0:
         raise ValueError("table holds no pairs")
-    if not weighting.normalize:
-        return 1.0
     lo, hi = table.indptr[core.start], table.indptr[core.stop]
     i = np.repeat(np.arange(core.start, core.stop), np.diff(table.indptr[core.start : core.stop + 1]))
     j = table.indices[lo:hi].astype(np.int64)

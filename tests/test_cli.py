@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -12,7 +13,14 @@ import pmivec
 from pmivec.cli import main
 from pmivec.corpus import companion_path, count_unigrams, load_bigrams, load_unigrams, tokenize
 from pmivec.embeddings import EmbeddingSet, load_vec, save_vec
+from pmivec.incremental import solve_words
 from pmivec.ioutil import atomic_write
+from pmivec.statistics import (
+    SmoothingConfig,
+    WeightConfig,
+    unigram_distribution,
+    weight_normalizer,
+)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -39,6 +47,18 @@ class TestAtomicWrites:
             fh.write("new")
         assert target.read_text() == "new"
         assert list(tmp_path.iterdir()) == [target]
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_mode_follows_umask(self, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            for name, binary in (("out.txt", False), ("out.bin", True)):
+                with atomic_write(tmp_path / name, binary=binary) as fh:
+                    fh.write(b"x" if binary else "x")
+                assert (tmp_path / name).stat().st_mode & 0o777 == mode
+        finally:
+            os.umask(previous)
 
 
 class TestCountUnigrams:
@@ -190,6 +210,31 @@ class TestFactorizeCore:
         assert code == 2
         assert "--core-size" in capsys.readouterr().err
 
+    def test_core_size_above_vocabulary_rejected(self, small_pipeline, tmp_path, capsys):
+        size = len(load_unigrams(small_pipeline["unigrams"])) + 1
+        out = tmp_path / "x.vec"
+        code = main([
+            "factorize-core", "--bigrams", str(small_pipeline["bigrams"]),
+            "--unigrams", str(small_pipeline["unigrams"]),
+            "--core-size", str(size), "--dim", "5", "--out", str(out),
+        ])
+        assert code == 2
+        assert "--core-size" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_write_failure_is_data_error(self, small_pipeline, tmp_path, monkeypatch, capsys):
+        def full_disk(emb, path):
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        monkeypatch.setattr("pmivec.cli.save_vec", full_disk)
+        code = main([
+            "factorize-core", "--bigrams", str(small_pipeline["bigrams"]),
+            "--unigrams", str(small_pipeline["unigrams"]),
+            "--core-size", "10", "--dim", "4", "--out", str(tmp_path / "core.vec"),
+        ])
+        assert code == 2
+        assert "No space left on device" in capsys.readouterr().err
+
 
 class TestFactorizeNoncore:
     def test_staged_growth(self, small_pipeline, tmp_path):
@@ -224,6 +269,43 @@ class TestFactorizeNoncore:
         assert emb2.words[:18] == emb1.words
         np.testing.assert_array_equal(emb2.vectors[:18], emb1.vectors)
         assert read_manifest(stage2)["report"]["words"] == 8
+
+    def test_staged_growth_equals_direct_solve(self, small_pipeline, tmp_path):
+        data = ["--bigrams", str(small_pipeline["bigrams"]),
+                "--unigrams", str(small_pipeline["unigrams"])]
+        core, stage1, stage2 = (tmp_path / name for name in ("core.vec", "s1.vec", "s2.vec"))
+        assert main(["factorize-core", *data, "--core-size", "10", "--dim", "4",
+                     "--out", str(core)]) == 0
+        assert main(["factorize-noncore", *data, "--core-vec", str(core), "--count", "8",
+                     "--mu", "1.0", "--out", str(stage1)]) == 0
+        assert main(["factorize-noncore", *data, "--core-vec", str(stage1), "--core-size", "10",
+                     "--count", "8", "--mu", "4.0", "--out", str(stage2)]) == 0
+        # one direct solve per group against the stored core vectors
+        vocab = load_unigrams(small_pipeline["unigrams"])
+        table = load_bigrams(small_pipeline["bigrams"], vocab)
+        uni = unigram_distribution(vocab)
+        scfg, wcfg = SmoothingConfig(), WeightConfig()
+        normalizer = weight_normalizer(range(10), table, uni, scfg, wcfg)
+        base = load_vec(core)
+        assert base.words == vocab.words[:10]
+        chunks = [base.vectors]
+        for group, mu in ((range(10, 18), 1.0), (range(18, 26), 4.0)):
+            stream = solve_words(base.vectors, np.arange(10), group, table, uni,
+                                 scfg, wcfg, mu, normalizer=normalizer)
+            chunks.append(np.array([vec for _, vec, _ in stream]))
+        direct = tmp_path / "direct.vec"
+        save_vec(EmbeddingSet(vocab.words[:26], np.vstack(chunks)), direct)
+        assert stage2.read_bytes() == direct.read_bytes()
+
+    def test_threads_flag_is_usage_error(self, small_pipeline, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "factorize-noncore", "--bigrams", str(small_pipeline["bigrams"]),
+                "--unigrams", str(small_pipeline["unigrams"]),
+                "--core-vec", "x.vec", "--count", "5", "--mu", "1",
+                "--threads", "2", "--out", str(tmp_path / "x.vec"),
+            ])
+        assert exc.value.code == 1
 
     def test_negative_mu_is_usage_error(self, small_pipeline, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -130,6 +130,12 @@ class TestEmFactorize:
         with pytest.raises(ValueError):
             em_factorize(g, -0.1 * np.ones((3, 3)), CoreSolveConfig(2))
 
+    def test_nan_weight_rejected(self):
+        weights = np.ones((3, 3))
+        weights[0, 2] = weights[2, 0] = np.nan
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            em_factorize(np.eye(3), weights, CoreSolveConfig(2))
+
     def test_monotone_descent_on_random_weighted_instances(self):
         rng = np.random.default_rng(7)
         for _ in range(8):

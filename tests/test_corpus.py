@@ -8,20 +8,15 @@ import pytest
 
 from pmivec.corpus import (
     DOC_BREAK,
-    CleaningRules,
     CooccurrenceTable,
     Vocabulary,
-    build_vocabulary,
     companion_path,
     count_bigrams,
     count_unigrams,
     load_bigrams,
     load_unigrams,
-    merge_cooccurrence,
-    merge_unigram_tallies,
     save_bigrams,
     save_unigrams,
-    tally_unigrams,
     tokenize,
 )
 from pmivec.ioutil import ParseError
@@ -56,6 +51,11 @@ class TestTokenize:
 
     def test_letters_only_rule_drops_mixed_tokens(self):
         assert list(tokenize("a b2c d")) == ["a", "d"]
+        # the Kelvin sign lowercases to ASCII "k"; dotted I, sharp s, sigma
+        # and accents stay non-ASCII and drop their spans; Unicode
+        # whitespace separates spans
+        text = "\u212aelvin \u0130stanbul stra\u00dfe \u03a3\u039f\u03a3 caf\u00e9 x-ray\u00a0b\u3000c"
+        assert list(tokenize(text)) == ["kelvin", "xray", "b", "c"]
 
     def test_accepts_line_iterables(self):
         fh = io.StringIO("one two\nthree\n")
@@ -65,13 +65,12 @@ class TestTokenize:
         out = list(tokenize("a b\n\nc"))
         assert out == ["a", "b", DOC_BREAK, "c"]
 
-    def test_boundary_can_be_disabled(self):
-        rules = CleaningRules(boundary_line=None)
-        assert list(tokenize("a\n\nb", rules)) == ["a", "b"]
-
-    def test_custom_alphabet(self):
-        rules = CleaningRules(alphabet="abc")
-        assert list(tokenize("ab cd abc", rules)) == ["ab", "abc"]
+    def test_only_an_empty_line_is_a_boundary(self):
+        fh = io.StringIO("a\n \n\t\nb\n\n\nc\n")
+        assert list(tokenize(fh)) == ["a", "b", DOC_BREAK, DOC_BREAK, "c"]
+        # without newline translation a line holding only "\r\n" is no boundary
+        fh = io.StringIO("a\r\n\r\nb\n", newline="")
+        assert list(tokenize(fh)) == ["a", "b"]
 
     def test_order_preserved(self):
         assert list(tokenize("z y x")) == ["z", "y", "x"]
@@ -188,30 +187,6 @@ class TestCountBigrams:
             assert got == expected
 
 
-class TestMerging:
-    def test_unigram_merge_is_order_independent(self):
-        t1 = tally_unigrams(iter(["a", "b", "a"]))
-        t2 = tally_unigrams(iter(["b", "c"]))
-        ab = merge_unigram_tallies([t1, t2])
-        ba = merge_unigram_tallies([t2, t1])
-        assert ab == ba
-        whole = tally_unigrams(iter(["a", "b", "a", "b", "c"]))
-        assert ab == whole
-
-    def test_cooccurrence_merge_equals_single_pass_over_documents(self):
-        docs = [["a", "b", "a"], ["b", "c", "a", "c"], ["c", "c"]]
-        stream = []
-        for d in docs:
-            stream.extend(d)
-            stream.append(DOC_BREAK)
-        vocab = count_unigrams(iter(stream))
-        whole = count_bigrams(iter(stream), vocab, 2)
-        shards = [count_bigrams(iter(d), vocab, 2) for d in docs]
-        merged = merge_cooccurrence(shards)
-        assert merged == whole
-        assert merge_cooccurrence(reversed(shards)) == whole
-
-
 class TestUnigramFiles:
     def test_round_trip(self, tmp_path):
         vocab = count_unigrams(tokenize("b a b c a b"))
@@ -220,7 +195,7 @@ class TestUnigramFiles:
         assert load_unigrams(path) == vocab
 
     def test_file_layout(self, tmp_path):
-        vocab = build_vocabulary(Counter({"a": 3, "b": 2}), 5)
+        vocab = count_unigrams(iter(["b", "a", "a", "b", "a"]))
         path = tmp_path / "uni.txt"
         save_unigrams(vocab, path)
         assert path.read_text() == "#total 5\na\t3\nb\t2\n"

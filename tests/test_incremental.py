@@ -1,18 +1,8 @@
 import numpy as np
 import pytest
 
-from pmivec.corpus import Vocabulary, count_bigrams, count_unigrams
-from pmivec.embeddings import EmbeddingSet
-from pmivec.incremental import (
-    DegeneracyWarning,
-    MuSchedule,
-    VocabPartition,
-    block_factorize,
-    combine,
-    partition_vocabulary,
-    solve_noncore_word,
-    solve_words,
-)
+from pmivec.corpus import count_bigrams, count_unigrams
+from pmivec.incremental import DegeneracyWarning, solve_noncore_word, solve_words
 from pmivec.statistics import SmoothingConfig, WeightConfig, pmi_block, unigram_distribution
 
 
@@ -33,59 +23,6 @@ def gradient_descent_oracle(g, w, core, mu, steps=2000):
     for _ in range(steps):
         v = v - ridge_gradient(v, g, w, core, mu) / lipschitz
     return v
-
-
-def fake_vocab(n):
-    return Vocabulary([f"w{k:05d}x".replace("0", "o") for k in range(n)], [n - k for k in range(n)], n * 2)
-
-
-class TestPartition:
-    def test_three_group_example(self):
-        part = partition_vocabulary(fake_vocab(100), 40, [30, 30])
-        assert part.groups == (range(0, 40), range(40, 70), range(70, 100))
-
-    def test_single_core_group(self):
-        part = partition_vocabulary(fake_vocab(10), 10, [])
-        assert part.groups == (range(0, 10),)
-        assert part.noncore == ()
-
-    def test_large_scale_partition(self):
-        part = partition_vocabulary(fake_vocab(180000), 25000, [55000, 50000, 50000])
-        assert part.groups == (
-            range(0, 25000),
-            range(25000, 80000),
-            range(80000, 130000),
-            range(130000, 180000),
-        )
-
-    def test_core_below_dim_rejected(self):
-        with pytest.raises(ValueError, match="dimension"):
-            partition_vocabulary(fake_vocab(100), 5, [], dim=10)
-
-    def test_overflow_rejected(self):
-        with pytest.raises(ValueError):
-            partition_vocabulary(fake_vocab(10), 8, [5])
-
-    def test_partition_invariants(self):
-        with pytest.raises(ValueError):
-            VocabPartition((range(0, 5), range(6, 10)))
-        with pytest.raises(ValueError):
-            VocabPartition((range(2, 5),))
-        with pytest.raises(ValueError):
-            VocabPartition(())
-
-
-class TestMuSchedule:
-    def test_accepts_non_decreasing(self):
-        MuSchedule((0.0, 2.0, 2.0, 8.0))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            MuSchedule((-1.0,))
-
-    def test_rejects_decreasing(self):
-        with pytest.raises(ValueError):
-            MuSchedule((4.0, 2.0))
 
 
 class TestSolveNoncoreWord:
@@ -160,6 +97,11 @@ class TestSolveNoncoreWord:
         with pytest.raises(ValueError):
             solve_noncore_word(np.zeros(3), np.ones(3), core, -1.0)
 
+    def test_nan_weight_rejected(self):
+        core = np.ones((3, 2))
+        with pytest.raises(ValueError, match="nonnegative"):
+            solve_noncore_word(np.zeros(3), np.array([1.0, np.nan, 1.0]), core, 1.0)
+
 
 def synthetic_setup(rng, n, window=2, reps=900):
     """A corpus over n two-letter words, its table and statistics."""
@@ -172,7 +114,7 @@ def synthetic_setup(rng, n, window=2, reps=900):
 
 
 class TestSolveWords:
-    def test_order_independent_and_thread_safe(self):
+    def test_order_independent(self):
         rng = np.random.default_rng(4)
         vocab, table, uni = synthetic_setup(rng, 12)
         scfg, wcfg = SmoothingConfig(0.1), WeightConfig()
@@ -182,81 +124,38 @@ class TestSolveWords:
         cols = np.arange(core_n)
         targets = list(range(core_n, len(vocab)))
 
-        def run(order, threads):
+        def run(order):
             got = dict()
             for i, vec, _ in solve_words(core, cols, order, table, uni, scfg, wcfg,
-                                         mu=0.5, normalizer=wblk.normalizer, threads=threads):
+                                         mu=0.5, normalizer=wblk.normalizer):
                 got[i] = vec
             return got
 
-        forward = run(targets, 1)
-        backward = run(list(reversed(targets)), 1)
-        threaded = run(targets, 4)
+        forward = run(targets)
+        backward = run(list(reversed(targets)))
         for i in targets:
             np.testing.assert_array_equal(forward[i], backward[i])
-            np.testing.assert_array_equal(forward[i], threaded[i])
 
-
-class TestBlockFactorize:
-    def test_zero_noncore_groups(self):
+    def test_no_words_yields_nothing(self):
         rng = np.random.default_rng(5)
         vocab, table, uni = synthetic_setup(rng, 8)
-        part = partition_vocabulary(vocab, len(vocab), [])
-        core_set = EmbeddingSet(vocab.words, rng.normal(size=(len(vocab), 3)))
-        out, report = block_factorize(
-            core_set, vocab, table, uni, SmoothingConfig(), WeightConfig(),
-            part, MuSchedule(()),
-        )
-        assert len(out) == 0 and out.dim == 3
-        assert report.groups == []
+        core = rng.normal(size=(len(vocab), 3))
+        stream = solve_words(core, np.arange(len(vocab)), [], table, uni,
+                             SmoothingConfig(), WeightConfig(), mu=1.0)
+        assert list(stream) == []
 
-    def test_solves_each_group_with_its_mu(self):
-        rng = np.random.default_rng(6)
-        vocab, table, uni = synthetic_setup(rng, 14)
-        scfg, wcfg = SmoothingConfig(0.1), WeightConfig()
-        part = partition_vocabulary(vocab, 6, [4, 4])
-        _, wblk = pmi_block(part.core, part.core, table, uni, scfg, wcfg)
-        core_set = EmbeddingSet(vocab.words[:6], rng.normal(size=(6, 3)))
-        out, report = block_factorize(
-            core_set, vocab, table, uni, scfg, wcfg,
-            part, MuSchedule((1.0, 4.0)), normalizer=wblk.normalizer,
-        )
-        assert out.words == vocab.words[6:14]
-        assert [g.mu for g in report.groups] == [1.0, 4.0]
-        assert [g.words for g in report.groups] == [4, 4]
-        text = report.format()
-        assert "mu" in text and text.count("\n") == 2
-        # rows must agree with solving one word at a time
-        cols = np.arange(6)
-        single = dict()
-        for grp, mu in zip(part.noncore, (1.0, 4.0)):
-            for i, vec, _ in solve_words(core_set.vectors, cols, grp, table, uni,
-                                         scfg, wcfg, mu, normalizer=wblk.normalizer):
-                single[i] = vec
-        for k, word in enumerate(out.words):
-            np.testing.assert_array_equal(out.vectors[k], single[vocab.index[word]])
-
-    def test_core_mismatch_rejected(self):
-        rng = np.random.default_rng(7)
-        vocab, table, uni = synthetic_setup(rng, 8)
-        part = partition_vocabulary(vocab, 4, [2])
-        wrong = EmbeddingSet(["zz", "yy", "xx", "ww"], rng.normal(size=(4, 2)))
-        with pytest.raises(ValueError, match="core"):
-            block_factorize(wrong, vocab, table, uni, SmoothingConfig(), WeightConfig(),
-                            part, MuSchedule((1.0,)))
-
-    def test_mu_monotone_shrinkage_across_runs(self):
+    def test_mu_monotone_shrinkage_per_word(self):
         rng = np.random.default_rng(8)
         vocab, table, uni = synthetic_setup(rng, 12)
         scfg, wcfg = SmoothingConfig(0.1), WeightConfig()
-        part = partition_vocabulary(vocab, 6, [6])
-        _, wblk = pmi_block(part.core, part.core, table, uni, scfg, wcfg)
-        core_set = EmbeddingSet(vocab.words[:6], rng.normal(size=(6, 3)))
+        core = range(6)
+        _, wblk = pmi_block(core, core, table, uni, scfg, wcfg)
+        core_vectors = rng.normal(size=(6, 3))
         norms = {}
         for mu in (0.0, 1.0, 10.0):
-            out, _ = block_factorize(core_set, vocab, table, uni, scfg, wcfg,
-                                     part, MuSchedule((mu,)), normalizer=wblk.normalizer)
-            norms[mu] = np.linalg.norm(out.vectors, axis=1)
+            stream = solve_words(core_vectors, np.arange(6), range(6, 12), table, uni,
+                                 scfg, wcfg, mu, normalizer=wblk.normalizer)
+            norms[mu] = np.array([np.linalg.norm(vec) for _, vec, _ in stream])
         assert np.all(norms[0.0] >= norms[1.0] - 1e-12)
         assert np.all(norms[1.0] >= norms[10.0] - 1e-12)
 
@@ -275,30 +174,3 @@ class TestBatchConsistency:
             g_row = gram[:c, c + k]
             v = solve_noncore_word(g_row, weights, core, mu=0.0)
             np.testing.assert_allclose(core @ v, g_row, atol=1e-6)
-
-
-class TestCombine:
-    def test_core_only_identity(self):
-        core = EmbeddingSet(["a", "b"], np.eye(2))
-        out = combine(core, [])
-        assert out.words == ["a", "b"]
-        np.testing.assert_array_equal(out.vectors, core.vectors)
-
-    def test_concatenation_preserves_order(self):
-        core = EmbeddingSet(["a", "b"], np.zeros((2, 3)))
-        extra = EmbeddingSet(["c", "d", "e"], np.ones((3, 3)))
-        out = combine(core, [extra])
-        assert out.words == ["a", "b", "c", "d", "e"]
-        assert len(out) == 5
-
-    def test_duplicate_word_rejected(self):
-        core = EmbeddingSet(["a", "b"], np.zeros((2, 2)))
-        dup = EmbeddingSet(["b"], np.ones((1, 2)))
-        with pytest.raises(ValueError, match="duplicate"):
-            combine(core, [dup])
-
-    def test_dim_mismatch_rejected(self):
-        core = EmbeddingSet(["a"], np.zeros((1, 2)))
-        other = EmbeddingSet(["b"], np.zeros((1, 3)))
-        with pytest.raises(ValueError, match="dimension"):
-            combine(core, [other])

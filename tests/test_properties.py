@@ -1,11 +1,14 @@
-"""Property tests for pair counting, the bigram file's binary companion and
-the O(nnz) weight normalizer.
+"""Property tests for tokenizing, pair counting, the bigram file's binary
+companion and the O(nnz) weight normalizer.
 
 The companion is a cache: whatever state it is in (current, stale, damaged
 or missing), ``load_bigrams`` must return exactly what parsing the text
 returns, or raise the same ParseError.
 """
 
+import io
+import re
+import string
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -21,6 +24,7 @@ from pmivec.corpus import (
     count_unigrams,
     load_bigrams,
     save_bigrams,
+    tokenize,
 )
 from pmivec.ioutil import ParseError
 from pmivec.statistics import (
@@ -35,6 +39,38 @@ WORDS = ["aa", "bb", "cc", "dd", "ee"]
 tokens_st = st.lists(st.sampled_from(WORDS + ["oov", DOC_BREAK]), max_size=200)
 windows_st = st.integers(min_value=1, max_value=5)
 SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def per_span_tokenize(lines):
+    """Token rules applied one whitespace-separated span at a time: lowercase
+    the span, strip ASCII punctuation, keep it if it is all of a-z.  A line
+    that is empty but for its newline is a document break."""
+    strip = str.maketrans("", "", string.punctuation)
+    for line in lines:
+        line = line.rstrip("\n")
+        if line == "":
+            yield DOC_BREAK
+            continue
+        for raw in line.split():
+            raw = raw.lower().translate(strip)
+            if raw and re.fullmatch("[a-z]+", raw):
+                yield raw
+
+
+# ASCII letters, digits and punctuation; letters whose case mappings are
+# unusual (Kelvin sign, dotted capital I, sharp s, final and capital sigma,
+# ligatures); and ASCII and Unicode whitespace and line breaks
+TEXT_CHARS = (string.ascii_letters + string.digits + string.punctuation
+              + "\u212a\u0130\u00df\u03c2\u03a3\u00e9\u00c9\ufb01\u0131"
+              + " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\u00a0\u2003\u2028\u2029\u3000")
+text_st = st.text(st.one_of(st.sampled_from(TEXT_CHARS), st.characters()), max_size=120)
+
+
+@SETTINGS
+@given(text_st)
+def test_tokenize_equals_per_span_rules(text):
+    assert list(tokenize(text)) == list(per_span_tokenize(text.splitlines()))
+    assert list(tokenize(io.StringIO(text))) == list(per_span_tokenize(io.StringIO(text)))
 
 
 def brute_force_pairs(tokens, vocab, window):

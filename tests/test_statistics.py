@@ -10,11 +10,18 @@ from pmivec.statistics import (
     UnigramDistribution,
     WeightConfig,
     pmi_block,
-    smoothed_bigram_prob,
     unigram_distribution,
     weight_normalizer,
     weight_transform,
 )
+
+
+def smoothed_bigram_prob(i, j, table, uni, cfg):
+    """Scalar oracle: interpolated probability of the symmetrized pair (i, j)."""
+    if table.total_pairs == 0:
+        raise ValueError("table holds no pairs")
+    emp = (table.pair_count(i, j) + table.pair_count(j, i)) / (2.0 * table.total_pairs)
+    return (1.0 - cfg.lam) * emp + cfg.lam * float(uni.probs[i] * uni.probs[j])
 
 
 def make_table(tokens, window, min_count=1):
@@ -129,7 +136,7 @@ class TestPmiBlock:
         uni = unigram_distribution(vocab)
         block, weights = pmi_block(
             range(len(vocab)), range(len(vocab)), table, uni,
-            SmoothingConfig(lam=0.0), WeightConfig(normalize=False),
+            SmoothingConfig(lam=0.0), WeightConfig(),
         )
         i, j = vocab.index["a"], vocab.index["c"]
         assert block.values[i, j] == 0.0
@@ -140,7 +147,7 @@ class TestPmiBlock:
         uni = unigram_distribution(vocab)
         _, weights = pmi_block(
             range(len(vocab)), range(len(vocab)), table, uni,
-            SmoothingConfig(), WeightConfig(normalize=True),
+            SmoothingConfig(), WeightConfig(),
         )
         assert weights.values.max() == 1.0
         assert weights.normalizer > 0.0
@@ -180,7 +187,7 @@ class TestPmiBlock:
         tokens = [words[int(k)] for k in rng.integers(0, 8, 600)]
         vocab, table = make_table(tokens, 3)
         uni = unigram_distribution(vocab)
-        scfg, wcfg = SmoothingConfig(lam=0.2), WeightConfig(normalize=True)
+        scfg, wcfg = SmoothingConfig(lam=0.2), WeightConfig()
         rows, cols = range(0, 3), range(3, 8)
         ab_g, ab_w = pmi_block(rows, cols, table, uni, scfg, wcfg)
         ba_g, ba_w = pmi_block(cols, rows, table, uni, scfg, wcfg)
@@ -218,7 +225,7 @@ class TestPmiRow:
         tokens = [words[int(k)] for k in rng.integers(0, 9, 800)]
         vocab, table = make_table(tokens, 2)
         uni = unigram_distribution(vocab)
-        scfg, wcfg = SmoothingConfig(lam=0.1), WeightConfig(normalize=True)
+        scfg, wcfg = SmoothingConfig(lam=0.1), WeightConfig()
         core = range(0, 5)
         gblk, wblk = pmi_block(core, core, table, uni, scfg, wcfg)
         cols = np.arange(5)
@@ -236,7 +243,7 @@ class TestPmiRow:
     def test_arbitrary_column_sets(self):
         vocab, table = make_table(["a", "b", "a", "c", "b", "a"], 2)
         uni = unigram_distribution(vocab)
-        scfg, wcfg = SmoothingConfig(lam=0.0), WeightConfig(normalize=False)
+        scfg, wcfg = SmoothingConfig(lam=0.0), WeightConfig()
         cols = np.array([vocab.index["c"], vocab.index["a"]])
         g, w = PmiRows(cols, table, uni, scfg, wcfg)([vocab.index["b"]])
         assert g.shape == (1, 2) and w.shape == (1, 2)
@@ -269,9 +276,3 @@ class TestWeightNormalizer:
         _, wblk = pmi_block(range(3), range(3), table, uni, scfg, wcfg)
         got = weight_normalizer(range(3), table, uni, scfg, wcfg)
         assert got == wblk.normalizer == float(uni.probs[0] * uni.probs[0])
-
-    def test_off_when_not_normalizing(self):
-        vocab, table = make_table(["a", "b", "a", "c"], 2)
-        uni = unigram_distribution(vocab)
-        cfg = WeightConfig(normalize=False)
-        assert weight_normalizer(range(3), table, uni, SmoothingConfig(), cfg) == 1.0
