@@ -10,11 +10,10 @@ from .embeddings import EmbeddingSet, load_vec, save_vec
 from .evaluation import cosine, eval_analogy_3cosmul, eval_choice, eval_similarity, spearman
 from .incremental import DegeneracyWarning, solve_noncore_word, solve_words
 from .statistics import (
+    PmiConfig,
     PmiRows,
-    SmoothingConfig,
-    WeightConfig,
     pmi_block,
-    unigram_distribution,
+    unigram_probs,
     weight_normalizer,
     weight_transform,
 )

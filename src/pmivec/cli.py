@@ -8,6 +8,7 @@ Every subcommand writes its output atomically and drops a JSON manifest
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -39,13 +40,7 @@ from .evaluation import (
 )
 from .incremental import solve_words
 from .ioutil import atomic_write
-from .statistics import (
-    SmoothingConfig,
-    WeightConfig,
-    pmi_block,
-    unigram_distribution,
-    weight_normalizer,
-)
+from .statistics import PmiConfig, PmiRows, pmi_block, weight_normalizer
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -105,12 +100,8 @@ def _write_manifest(out_path: str, subcommand: str, args: argparse.Namespace,
         fh.write("\n")
 
 
-def _smoothing(args) -> SmoothingConfig:
-    return SmoothingConfig(lam=args.lam)
-
-
-def _weighting(args) -> WeightConfig:
-    return WeightConfig(alpha=args.alpha, cap=args.cap)
+def _pmi_config(args) -> PmiConfig:
+    return PmiConfig(lam=args.lam, alpha=args.alpha, cap=args.cap)
 
 
 def cmd_count_unigrams(args) -> None:
@@ -143,13 +134,10 @@ def cmd_factorize_core(args) -> None:
             f"and the {len(vocab)} vocabulary words"
         )
     table = load_bigrams(args.bigrams, vocab)
-    uni = unigram_distribution(vocab)
     core = range(args.core_size)
-    gblk, wblk = pmi_block(core, core, table, uni, _smoothing(args), _weighting(args))
+    pmi, weights, normalizer = pmi_block(core, core, table, _pmi_config(args))
     del table  # the solve needs only the blocks: release the counts before its memory peak
-    factor, diag = em_factorize(
-        gblk.values, wblk.values, CoreSolveConfig(args.dim, args.iters, args.tol)
-    )
+    factor, diag = em_factorize(pmi, weights, CoreSolveConfig(args.dim, args.iters, args.tol))
     emb = EmbeddingSet(vocab.words[: args.core_size], factor)
     save_vec(emb, args.out)
     _write_manifest(
@@ -161,7 +149,7 @@ def cmd_factorize_core(args) -> None:
                 "iterations": diag.iterations,
                 "converged": diag.converged,
             },
-            "weight_normalizer": wblk.normalizer,
+            "weight_normalizer": normalizer,
         },
     )
     print(
@@ -171,7 +159,7 @@ def cmd_factorize_core(args) -> None:
 
 
 #: Flags that fix the weight scale; every stage of one growth chain must agree on them.
-_WEIGHTING_FLAGS = ("lam", "alpha", "cap")
+_WEIGHTING_FLAGS = tuple(f.name for f in dataclasses.fields(PmiConfig))
 
 
 def _check_weighting_matches(args) -> None:
@@ -198,7 +186,6 @@ def cmd_factorize_noncore(args) -> None:
     _check_weighting_matches(args)
     vocab = load_unigrams(args.unigrams)
     table = load_bigrams(args.bigrams, vocab)
-    uni = unigram_distribution(vocab)
     base = load_vec(args.core_vec)
     if len(base) == 0:
         raise ValueError(f"{args.core_vec} holds no embeddings")
@@ -228,9 +215,9 @@ def cmd_factorize_noncore(args) -> None:
 
     # weights must share the scale fixed by the core solve, so recover the
     # same block normalizer from the counts
-    smoothing, weighting = _smoothing(args), _weighting(args)
+    cfg = _pmi_config(args)
     block_range = range(0, min(core_size, len(vocab)))
-    normalizer = weight_normalizer(block_range, table, uni, smoothing, weighting)
+    rows_of = PmiRows(cols, table, cfg, weight_normalizer(block_range, table, cfg))
 
     have = set(base.words)
     new_indices = [i for i, w in enumerate(vocab.words) if w not in have][: args.count]
@@ -243,10 +230,7 @@ def cmd_factorize_noncore(args) -> None:
     solve_start = time.perf_counter()
     vectors = np.empty((len(new_indices), base.dim))
     degeneracies = 0
-    stream = solve_words(
-        core_vectors, np.asarray(cols), new_indices, table, uni,
-        smoothing, weighting, args.mu, normalizer=normalizer,
-    )
+    stream = solve_words(core_vectors, rows_of, new_indices, args.mu)
     for pos, (_, vector, degenerate) in enumerate(stream):
         vectors[pos] = vector
         degeneracies += degenerate
@@ -298,6 +282,17 @@ def cmd_evaluate(args) -> None:
     )
 
 
+def _add_weighting_flags(p: argparse.ArgumentParser) -> None:
+    """One flag per ``PmiConfig`` field, with its default."""
+    defaults = PmiConfig()
+    p.add_argument("--lambda", dest="lam", type=_unit_float, default=defaults.lam,
+                   help=f"smoothing interpolation weight (default {defaults.lam})")
+    p.add_argument("--alpha", type=_positive_float, default=defaults.alpha,
+                   help=f"weight transform exponent (default {defaults.alpha})")
+    p.add_argument("--cap", type=_positive_float, default=defaults.cap,
+                   help="optional probability cap before the transform")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pmivec", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -324,12 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--core-size", type=_positive_int, required=True,
                    help="number of most frequent words solved jointly")
     p.add_argument("--dim", type=_positive_int, required=True, help="embedding dimension")
-    p.add_argument("--lambda", dest="lam", type=_unit_float, default=0.1,
-                   help="smoothing interpolation weight (default 0.1)")
-    p.add_argument("--alpha", type=_positive_float, default=0.5,
-                   help="weight transform exponent (default 0.5)")
-    p.add_argument("--cap", type=_positive_float, default=None,
-                   help="optional probability cap before the transform")
+    _add_weighting_flags(p)
     p.add_argument("--iters", type=_positive_int, default=20,
                    help="maximum solver sweeps (default 20)")
     p.add_argument("--tol", type=_positive_float, default=1e-4,
@@ -350,9 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="how many new words to solve, in frequency order")
     p.add_argument("--mu", type=_nonnegative_float, required=True,
                    help="ridge coefficient for this group")
-    p.add_argument("--lambda", dest="lam", type=_unit_float, default=0.1)
-    p.add_argument("--alpha", type=_positive_float, default=0.5)
-    p.add_argument("--cap", type=_positive_float, default=None)
+    _add_weighting_flags(p)
     p.add_argument("--out", required=True, help=".vec file to write")
     p.set_defaults(func=cmd_factorize_noncore)
 

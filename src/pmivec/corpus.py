@@ -11,6 +11,7 @@ whenever it was written for that very text and vocabulary.
 
 from __future__ import annotations
 
+import io
 import os
 import string
 import struct
@@ -36,9 +37,10 @@ def tokenize(source: str | Iterable[str]) -> Iterator[str | None]:
 
     Streams line by line in bounded memory.  Content never raises: spans that
     fail the token rules are dropped.  Empty lines are yielded as
-    :data:`DOC_BREAK`.
+    :data:`DOC_BREAK`.  A string is split into lines exactly as ``open()``
+    splits a file: at ``\n``, ``\r`` and ``\r\n`` only.
     """
-    lines = source.splitlines() if isinstance(source, str) else source
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     for line in lines:
         if not line.rstrip("\n"):
             yield DOC_BREAK
@@ -286,6 +288,8 @@ def load_unigrams(path) -> Vocabulary:
             if len(parts) != 2:
                 raise ParseError(path, line_no, "expected 'word<TAB>count'")
             word, count_text = parts
+            if word.split() != [word]:
+                raise ParseError(path, line_no, f"word {word!r} is empty or holds whitespace")
             try:
                 count = int(count_text)
             except ValueError:

@@ -22,8 +22,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus import CooccurrenceTable
-from .statistics import PmiRows, SmoothingConfig, UnigramDistribution, WeightConfig
+from .statistics import PmiRows
 
 #: Words whose PMI and weight rows are built together in ``solve_words``.
 BATCH_WORDS = 256
@@ -75,26 +74,17 @@ def solve_noncore_word(
 
 
 def solve_words(
-    core_vectors: np.ndarray,
-    core_cols: np.ndarray,
-    word_indices: Iterable[int],
-    table: CooccurrenceTable,
-    uni: UnigramDistribution,
-    smoothing: SmoothingConfig,
-    weighting: WeightConfig,
-    mu: float,
-    normalizer: float = 1.0,
+    core_vectors: np.ndarray, rows_of: PmiRows, word_indices: Iterable[int], mu: float
 ) -> Iterator[tuple[int, np.ndarray, bool]]:
     """Stream (word index, vector, degenerate flag) for each requested word.
 
     Rows are built for ``BATCH_WORDS`` words at a time and discarded once
     their vectors are out, so transient memory stays O(BATCH_WORDS * c).
-    ``core_cols`` holds the vocabulary indices of the regression columns,
-    aligned with the rows of ``core_vectors``.
+    The columns of ``rows_of`` are the regression columns, aligned with the
+    rows of ``core_vectors``, and its normalizer is the core solve's.
     """
     if mu < 0.0:
         raise ValueError("mu must be nonnegative")
-    rows_of = PmiRows(core_cols, table, uni, smoothing, weighting, normalizer)
     words = iter(word_indices)
     while batch := list(islice(words, BATCH_WORDS)):
         g, w = rows_of(batch)

@@ -1,5 +1,11 @@
 """Smoothed pair probabilities and the PMI / fit-weight blocks built from them.
 
+One :class:`PmiConfig` (``lam``, ``alpha``, ``cap``) fixes the model, and
+unigram probabilities come from the table's vocabulary.  :func:`pmi_block`
+gives the dense core block, its weights and their normalizer;
+:class:`PmiRows` gives the rows of further words on that scale, which
+:func:`weight_normalizer` recovers from the counts alone.
+
 Pair counts are symmetrized before use, so every block is exactly symmetric
 under transposition of its index ranges.  Entries with zero smoothed
 probability mass get PMI 0 and weight 0; a zero weight makes the PMI value
@@ -16,56 +22,31 @@ from .corpus import CooccurrenceTable, Vocabulary
 
 
 @dataclass(frozen=True)
-class SmoothingConfig:
-    """Jelinek-Mercer interpolation weight between the empirical pair
-    probability (weight 1 - lam) and the unigram product (weight lam)."""
+class PmiConfig:
+    """Jelinek-Mercer weight ``lam`` between the empirical pair probability
+    (weight 1 - lam) and the unigram product (weight lam); a pair probability
+    p has fit weight min(p, cap) ** alpha, divided by the core block maximum."""
 
     lam: float = 0.1
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lam must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class WeightConfig:
-    """Monotone transform turning a pair probability into a fit weight:
-    min(p, cap) ** alpha, then divided by the core block's maximum."""
-
     alpha: float = 0.5
     cap: float | None = None
 
     def __post_init__(self):
+        if not 0.0 <= self.lam <= 1.0:
+            raise ValueError("lam must lie in [0, 1]")
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
         if self.cap is not None and self.cap <= 0.0:
             raise ValueError("cap must be positive when present")
 
 
-@dataclass
-class UnigramDistribution:
-    """Per-word probability, strictly positive and summing to one."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=float)
-        if self.probs.size == 0:
-            raise ValueError("distribution over an empty vocabulary")
-        if np.any(self.probs <= 0.0):
-            raise ValueError("all probabilities must be positive")
-        if abs(float(self.probs.sum()) - 1.0) > 1e-12:
-            raise ValueError("probabilities must sum to 1")
-
-
-def unigram_distribution(vocab: Vocabulary) -> UnigramDistribution:
-    if len(vocab) == 0:
-        raise ValueError("vocabulary is empty")
+def unigram_probs(vocab: Vocabulary) -> np.ndarray:
+    """Per-word probability: each count over the total of kept counts."""
     counts = np.asarray(vocab.counts, dtype=float)
-    return UnigramDistribution(counts / counts.sum())
+    return counts / counts.sum()
 
 
-def weight_transform(p, cfg: WeightConfig):
+def weight_transform(p, cfg: PmiConfig):
     """Monotone non-decreasing map from probability to raw fit weight.
 
     The division by the block maximum is left to the block builders, which
@@ -77,31 +58,6 @@ def weight_transform(p, cfg: WeightConfig):
     return p**cfg.alpha
 
 
-@dataclass
-class PmiBlock:
-    """Dense rectangular view of the PMI matrix (natural log)."""
-
-    row_words: range
-    col_words: range
-    values: np.ndarray
-
-
-@dataclass
-class WeightBlock:
-    """Fit weights paired with a PmiBlock.
-
-    ``normalizer`` is the divisor that was applied to the raw transform
-    output: the block maximum, or 1.0 when no weight is positive.  Row
-    builders reuse it so that weights stay on one scale across an entire
-    factorization run.
-    """
-
-    row_words: range
-    col_words: range
-    values: np.ndarray
-    normalizer: float = 1.0
-
-
 def _check_range(r: range, n: int, label: str) -> None:
     if r.step != 1 or len(r) == 0:
         raise ValueError(f"{label} must be a nonempty step-1 range")
@@ -110,16 +66,16 @@ def _check_range(r: range, n: int, label: str) -> None:
 
 
 def _smoothed(counts: np.ndarray, indep: np.ndarray, total_pairs: int,
-              smoothing: SmoothingConfig) -> np.ndarray:
+              cfg: PmiConfig) -> np.ndarray:
     """Interpolated pair probability from symmetrized counts, which are
     scaled to the empirical probability in place."""
     counts /= 2.0 * total_pairs
-    return (1.0 - smoothing.lam) * counts + smoothing.lam * indep
+    return (1.0 - cfg.lam) * counts + cfg.lam * indep
 
 
-def _fit_weights(p: np.ndarray, weighting: WeightConfig) -> np.ndarray:
+def _fit_weights(p: np.ndarray, cfg: PmiConfig) -> np.ndarray:
     """Raw fit weights; entries without probability mass get weight 0."""
-    weights = weight_transform(p, weighting)
+    weights = weight_transform(p, cfg)
     weights[~(p > 0.0)] = 0.0
     return weights
 
@@ -144,14 +100,13 @@ class PmiRows:
     divides the weights (the core block's, so rows share its scale).
     """
 
-    def __init__(self, cols, table: CooccurrenceTable, uni: UnigramDistribution,
-                 smoothing: SmoothingConfig, weighting: WeightConfig, normalizer: float = 1.0):
+    def __init__(self, cols, table: CooccurrenceTable, cfg: PmiConfig, normalizer: float = 1.0):
         if table.total_pairs == 0:
             raise ValueError("table holds no pairs")
         n = len(table.vocab)
         self.cols = np.asarray(cols, dtype=np.int64)
-        self.table, self.uni = table, uni
-        self.smoothing, self.weighting, self.normalizer = smoothing, weighting, normalizer
+        self.table, self.cfg, self.normalizer = table, cfg, normalizer
+        self.probs = unigram_probs(table.vocab)
         self.col_pos = np.full(n, -1, dtype=np.int64)
         self.col_pos[self.cols] = np.arange(len(self.cols))
         owner, at = _row_entries(table.indptr, self.cols)
@@ -177,46 +132,37 @@ class PmiRows:
     def __call__(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """PMI and weight rows of the words ``rows``; unseen pairs keep
         weight 0 under lam = 0."""
-        indep = np.outer(self.uni.probs[np.asarray(rows, dtype=np.int64)], self.uni.probs[self.cols])
-        p = _smoothed(self._gather(rows), indep, self.table.total_pairs, self.smoothing)
+        indep = np.outer(self.probs[np.asarray(rows, dtype=np.int64)], self.probs[self.cols])
+        p = _smoothed(self._gather(rows), indep, self.table.total_pairs, self.cfg)
         mask = p > 0.0
         pmi = np.zeros_like(p)
         pmi[mask] = np.log(p[mask] / indep[mask])
-        weights = _fit_weights(p, self.weighting)
+        weights = _fit_weights(p, self.cfg)
         if self.normalizer != 1.0:
             weights /= self.normalizer
         return pmi, weights
 
 
 def pmi_block(
-    row_range: range,
-    col_range: range,
-    table: CooccurrenceTable,
-    uni: UnigramDistribution,
-    smoothing: SmoothingConfig,
-    weighting: WeightConfig,
-) -> tuple[PmiBlock, WeightBlock]:
-    """Build the PMI block and its paired weight block for two index ranges."""
+    row_range: range, col_range: range, table: CooccurrenceTable, cfg: PmiConfig
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """PMI block, fit-weight block and weight normalizer for two index ranges.
+
+    The weights are divided by their block maximum, the normalizer, or by
+    1.0 when no weight is positive; growth rows reuse it so that weights stay
+    on one scale across an entire factorization run.
+    """
     n = len(table.vocab)
     _check_range(row_range, n, "row range")
     _check_range(col_range, n, "col range")
-    pmi, weights = PmiRows(col_range, table, uni, smoothing, weighting)(row_range)
+    pmi, weights = PmiRows(col_range, table, cfg)(row_range)
     peak = float(weights.max(initial=0.0))
     normalizer = peak if peak > 0.0 else 1.0
-    return (
-        PmiBlock(row_range, col_range, pmi),
-        WeightBlock(row_range, col_range, weights / normalizer, normalizer),
-    )
+    return pmi, weights / normalizer, normalizer
 
 
-def weight_normalizer(
-    core: range,
-    table: CooccurrenceTable,
-    uni: UnigramDistribution,
-    smoothing: SmoothingConfig,
-    weighting: WeightConfig,
-) -> float:
-    """The normalizer ``pmi_block(core, core, ...)`` records, in O(nnz).
+def weight_normalizer(core: range, table: CooccurrenceTable, cfg: PmiConfig) -> float:
+    """The normalizer ``pmi_block(core, core, ...)`` returns, in O(nnz).
 
     The transform is monotone, so the block maximum is the larger of the
     weights of the observed pairs and the largest weight of an unobserved
@@ -242,10 +188,10 @@ def weight_normalizer(
     starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]) if keys.size else keys
     summed = np.add.reduceat(counts[order], starts) if keys.size else counts
     keys = keys[starts]
-    probs = uni.probs
+    probs = unigram_probs(table.vocab)
     top = float(probs[core.start : core.stop].max())
     # every observed pair, then the unobserved (m, m) candidate with count 0
     indep = np.append(probs[keys // n] * probs[keys % n], top * top)
-    p = _smoothed(np.append(summed, 0).astype(float), indep, table.total_pairs, smoothing)
-    peak = float(_fit_weights(p, weighting).max(initial=0.0))
+    p = _smoothed(np.append(summed, 0).astype(float), indep, table.total_pairs, cfg)
+    peak = float(_fit_weights(p, cfg).max(initial=0.0))
     return peak if peak > 0.0 else 1.0

@@ -34,12 +34,7 @@ from pmivec.evaluation import (
     spearman,
 )
 from pmivec.incremental import solve_noncore_word, solve_words
-from pmivec.statistics import (
-    SmoothingConfig,
-    WeightConfig,
-    pmi_block,
-    unigram_distribution,
-)
+from pmivec.statistics import PmiConfig, PmiRows, pmi_block
 
 TESTSETS = Path(__file__).parent / "data" / "testsets"
 
@@ -268,11 +263,8 @@ def test_criterion_08_independence_null():
         tokens = [names[int(k)] for k in rng.integers(0, 20, 4000)]
         vocab = count_unigrams(iter(tokens))
         table = count_bigrams(iter(tokens), vocab, 3)
-        uni = unigram_distribution(vocab)
-        block, _ = pmi_block(
-            range(20), range(20), table, uni, SmoothingConfig(lam=1.0), WeightConfig()
-        )
-        assert np.max(np.abs(block.values)) < 1e-12
+        pmi, _, _ = pmi_block(range(20), range(20), table, PmiConfig(lam=1.0))
+        assert np.max(np.abs(pmi)) < 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -363,18 +355,15 @@ def test_criterion_10_complexity_shape():
             ctx = rng.choice(c, size=40, replace=False)
             rows[i] = {int(j): int(v) for j, v in zip(ctx, rng.integers(1, 6, 40))}
         table = CooccurrenceTable.from_rows(2, vocab, rows)
-        uni = unigram_distribution(vocab)
-        scfg, wcfg = SmoothingConfig(0.1), WeightConfig()
-        _, wblk = pmi_block(range(c), range(c), table, uni, scfg, wcfg)
+        cfg = PmiConfig(0.1)
+        _, _, normalizer = pmi_block(range(c), range(c), table, cfg)
         core_vectors = rng.normal(size=(c, d))
         cols = np.arange(c)
 
         def consume(n_words):
             acc = 0.0
-            stream = solve_words(
-                core_vectors, cols, range(c, c + n_words), table, uni,
-                scfg, wcfg, mu=1.0, normalizer=wblk.normalizer,
-            )
+            rows_of = PmiRows(cols, table, cfg, normalizer)
+            stream = solve_words(core_vectors, rows_of, range(c, c + n_words), mu=1.0)
             for _, vec, _ in stream:
                 acc += float(vec[0])
             return acc

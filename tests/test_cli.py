@@ -15,12 +15,7 @@ from pmivec.corpus import companion_path, count_unigrams, load_bigrams, load_uni
 from pmivec.embeddings import EmbeddingSet, load_vec, save_vec
 from pmivec.incremental import solve_words
 from pmivec.ioutil import atomic_write
-from pmivec.statistics import (
-    SmoothingConfig,
-    WeightConfig,
-    unigram_distribution,
-    weight_normalizer,
-)
+from pmivec.statistics import PmiConfig, PmiRows, weight_normalizer
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -222,6 +217,22 @@ class TestFactorizeCore:
         assert "--core-size" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("word", ["foo bar", "", "foo\x0c"], ids=["space", "empty", "formfeed"])
+    def test_unigram_word_with_whitespace_is_data_error(self, small_pipeline, tmp_path, capsys,
+                                                        word):
+        uni = tmp_path / "uni.txt"
+        text = small_pipeline["unigrams"].read_text() + f"{word}\t1\n"
+        uni.write_text(text)
+        bad_line = text.count("\n")
+        out = tmp_path / "core.vec"
+        code = main([
+            "factorize-core", "--bigrams", str(small_pipeline["bigrams"]), "--unigrams", str(uni),
+            "--core-size", "10", "--dim", "4", "--out", str(out),
+        ])
+        assert code == 2
+        assert f"uni.txt:{bad_line}:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_write_failure_is_data_error(self, small_pipeline, tmp_path, monkeypatch, capsys):
         def full_disk(emb, path):
             raise OSError(errno.ENOSPC, "No space left on device", str(path))
@@ -283,15 +294,13 @@ class TestFactorizeNoncore:
         # one direct solve per group against the stored core vectors
         vocab = load_unigrams(small_pipeline["unigrams"])
         table = load_bigrams(small_pipeline["bigrams"], vocab)
-        uni = unigram_distribution(vocab)
-        scfg, wcfg = SmoothingConfig(), WeightConfig()
-        normalizer = weight_normalizer(range(10), table, uni, scfg, wcfg)
+        cfg = PmiConfig()
+        rows_of = PmiRows(np.arange(10), table, cfg, weight_normalizer(range(10), table, cfg))
         base = load_vec(core)
         assert base.words == vocab.words[:10]
         chunks = [base.vectors]
         for group, mu in ((range(10, 18), 1.0), (range(18, 26), 4.0)):
-            stream = solve_words(base.vectors, np.arange(10), group, table, uni,
-                                 scfg, wcfg, mu, normalizer=normalizer)
+            stream = solve_words(base.vectors, rows_of, group, mu)
             chunks.append(np.array([vec for _, vec, _ in stream]))
         direct = tmp_path / "direct.vec"
         save_vec(EmbeddingSet(vocab.words[:26], np.vstack(chunks)), direct)
@@ -439,6 +448,13 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["count-unigrams", "--out", "x.txt"])
         assert exc.value.code == 1
+
+    def test_growth_help_shows_weighting_defaults(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["factorize-noncore", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "(default 0.1)" in text and "(default 0.5)" in text
 
 
 class TestBigramCompanion:

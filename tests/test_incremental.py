@@ -3,7 +3,7 @@ import pytest
 
 from pmivec.corpus import count_bigrams, count_unigrams
 from pmivec.incremental import DegeneracyWarning, solve_noncore_word, solve_words
-from pmivec.statistics import SmoothingConfig, WeightConfig, pmi_block, unigram_distribution
+from pmivec.statistics import PmiConfig, PmiRows, pmi_block
 
 
 def ridge_objective(v, g, w, core, mu):
@@ -109,25 +109,23 @@ def synthetic_setup(rng, n, window=2, reps=900):
     tokens = [words[int(k)] for k in rng.integers(0, n, reps)]
     vocab = count_unigrams(iter(tokens))
     table = count_bigrams(iter(tokens), vocab, window)
-    uni = unigram_distribution(vocab)
-    return vocab, table, uni
+    return vocab, table
 
 
 class TestSolveWords:
     def test_order_independent(self):
         rng = np.random.default_rng(4)
-        vocab, table, uni = synthetic_setup(rng, 12)
-        scfg, wcfg = SmoothingConfig(0.1), WeightConfig()
+        vocab, table = synthetic_setup(rng, 12)
+        cfg = PmiConfig(0.1)
         core_n = 6
-        _, wblk = pmi_block(range(core_n), range(core_n), table, uni, scfg, wcfg)
+        _, _, normalizer = pmi_block(range(core_n), range(core_n), table, cfg)
         core = rng.normal(size=(core_n, 3))
-        cols = np.arange(core_n)
+        rows_of = PmiRows(np.arange(core_n), table, cfg, normalizer)
         targets = list(range(core_n, len(vocab)))
 
         def run(order):
             got = dict()
-            for i, vec, _ in solve_words(core, cols, order, table, uni, scfg, wcfg,
-                                         mu=0.5, normalizer=wblk.normalizer):
+            for i, vec, _ in solve_words(core, rows_of, order, mu=0.5):
                 got[i] = vec
             return got
 
@@ -138,23 +136,22 @@ class TestSolveWords:
 
     def test_no_words_yields_nothing(self):
         rng = np.random.default_rng(5)
-        vocab, table, uni = synthetic_setup(rng, 8)
+        vocab, table = synthetic_setup(rng, 8)
         core = rng.normal(size=(len(vocab), 3))
-        stream = solve_words(core, np.arange(len(vocab)), [], table, uni,
-                             SmoothingConfig(), WeightConfig(), mu=1.0)
+        stream = solve_words(core, PmiRows(np.arange(len(vocab)), table, PmiConfig()), [], mu=1.0)
         assert list(stream) == []
 
     def test_mu_monotone_shrinkage_per_word(self):
         rng = np.random.default_rng(8)
-        vocab, table, uni = synthetic_setup(rng, 12)
-        scfg, wcfg = SmoothingConfig(0.1), WeightConfig()
+        vocab, table = synthetic_setup(rng, 12)
+        cfg = PmiConfig(0.1)
         core = range(6)
-        _, wblk = pmi_block(core, core, table, uni, scfg, wcfg)
+        _, _, normalizer = pmi_block(core, core, table, cfg)
         core_vectors = rng.normal(size=(6, 3))
+        rows_of = PmiRows(np.arange(6), table, cfg, normalizer)
         norms = {}
         for mu in (0.0, 1.0, 10.0):
-            stream = solve_words(core_vectors, np.arange(6), range(6, 12), table, uni,
-                                 scfg, wcfg, mu, normalizer=wblk.normalizer)
+            stream = solve_words(core_vectors, rows_of, range(6, 12), mu)
             norms[mu] = np.array([np.linalg.norm(vec) for _, vec, _ in stream])
         assert np.all(norms[0.0] >= norms[1.0] - 1e-12)
         assert np.all(norms[1.0] >= norms[10.0] - 1e-12)

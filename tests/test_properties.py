@@ -13,7 +13,7 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pmivec.corpus import (
@@ -27,13 +27,7 @@ from pmivec.corpus import (
     tokenize,
 )
 from pmivec.ioutil import ParseError
-from pmivec.statistics import (
-    SmoothingConfig,
-    WeightConfig,
-    pmi_block,
-    unigram_distribution,
-    weight_normalizer,
-)
+from pmivec.statistics import PmiConfig, pmi_block, weight_normalizer
 
 WORDS = ["aa", "bb", "cc", "dd", "ee"]
 tokens_st = st.lists(st.sampled_from(WORDS + ["oov", DOC_BREAK]), max_size=200)
@@ -69,8 +63,21 @@ text_st = st.text(st.one_of(st.sampled_from(TEXT_CHARS), st.characters()), max_s
 @SETTINGS
 @given(text_st)
 def test_tokenize_equals_per_span_rules(text):
-    assert list(tokenize(text)) == list(per_span_tokenize(text.splitlines()))
+    assert list(tokenize(text)) == list(per_span_tokenize(io.StringIO(text, newline=None)))
     assert list(tokenize(io.StringIO(text))) == list(per_span_tokenize(io.StringIO(text)))
+
+
+@SETTINGS
+@given(st.text(st.one_of(st.sampled_from(TEXT_CHARS), st.characters(exclude_categories=["Cs"])),
+               max_size=120))
+@example("a\r\rb\r\n\x0c\x0cc\u2028\u2028d")
+def test_tokenize_string_equals_file(text):
+    # a file opened with open() breaks lines at \n, \r and \r\n only
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "text.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8") as fh:
+            assert list(tokenize(text)) == list(tokenize(fh))
 
 
 def brute_force_pairs(tokens, vocab, window):
@@ -206,7 +213,6 @@ def test_weight_normalizer_equals_dense_block_maximum(tokens, window, lam, alpha
         return
     vocab, table = got
     core = range(0, data.draw(st.integers(1, len(vocab)), label="core size"))
-    uni = unigram_distribution(vocab)
-    scfg, wcfg = SmoothingConfig(lam=lam), WeightConfig(alpha=alpha, cap=cap)
-    _, wblk = pmi_block(core, core, table, uni, scfg, wcfg)
-    assert weight_normalizer(core, table, uni, scfg, wcfg) == wblk.normalizer
+    cfg = PmiConfig(lam=lam, alpha=alpha, cap=cap)
+    _, _, normalizer = pmi_block(core, core, table, cfg)
+    assert weight_normalizer(core, table, cfg) == normalizer

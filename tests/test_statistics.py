@@ -5,23 +5,21 @@ import pytest
 
 from pmivec.corpus import CooccurrenceTable, Vocabulary, count_bigrams, count_unigrams
 from pmivec.statistics import (
+    PmiConfig,
     PmiRows,
-    SmoothingConfig,
-    UnigramDistribution,
-    WeightConfig,
     pmi_block,
-    unigram_distribution,
+    unigram_probs,
     weight_normalizer,
     weight_transform,
 )
 
 
-def smoothed_bigram_prob(i, j, table, uni, cfg):
+def smoothed_bigram_prob(i, j, table, probs, cfg):
     """Scalar oracle: interpolated probability of the symmetrized pair (i, j)."""
     if table.total_pairs == 0:
         raise ValueError("table holds no pairs")
     emp = (table.pair_count(i, j) + table.pair_count(j, i)) / (2.0 * table.total_pairs)
-    return (1.0 - cfg.lam) * emp + cfg.lam * float(uni.probs[i] * uni.probs[j])
+    return (1.0 - cfg.lam) * emp + cfg.lam * float(probs[i] * probs[j])
 
 
 def make_table(tokens, window, min_count=1):
@@ -33,86 +31,81 @@ class TestConfigs:
     @pytest.mark.parametrize("lam", [-0.1, 1.1])
     def test_smoothing_bounds(self, lam):
         with pytest.raises(ValueError):
-            SmoothingConfig(lam=lam)
+            PmiConfig(lam=lam)
 
     def test_weight_config_validation(self):
         with pytest.raises(ValueError):
-            WeightConfig(alpha=0.0)
+            PmiConfig(alpha=0.0)
         with pytest.raises(ValueError):
-            WeightConfig(cap=-1.0)
+            PmiConfig(cap=-1.0)
 
 
 class TestUnigramDistribution:
     def test_direct_ratio(self):
         vocab = Vocabulary(["a", "b"], [3, 1], 4)
-        np.testing.assert_allclose(unigram_distribution(vocab).probs, [0.75, 0.25])
+        np.testing.assert_allclose(unigram_probs(vocab), [0.75, 0.25])
 
     def test_single_word(self):
         vocab = Vocabulary(["a"], [5], 5)
-        np.testing.assert_allclose(unigram_distribution(vocab).probs, [1.0])
+        np.testing.assert_allclose(unigram_probs(vocab), [1.0])
 
     def test_symmetry(self):
         vocab = Vocabulary(["a", "b", "c", "d"], [2, 2, 2, 2], 8)
-        np.testing.assert_allclose(unigram_distribution(vocab).probs, [0.25] * 4)
+        np.testing.assert_allclose(unigram_probs(vocab), [0.25] * 4)
 
     def test_empty_vocab_rejected(self):
         vocab = count_unigrams(iter(["a"]), min_count=9)
+        table = CooccurrenceTable.from_rows(1, vocab, {})
         with pytest.raises(ValueError):
-            unigram_distribution(vocab)
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            UnigramDistribution(np.array([0.5, 0.6]))
-        with pytest.raises(ValueError):
-            UnigramDistribution(np.array([1.0, 0.0]))
+            PmiRows([], table, PmiConfig())
 
 
 class TestSmoothedProbability:
     def test_full_backoff_is_unigram_product(self):
         vocab, table = make_table(["a", "b", "a", "c"], 2)
-        uni = unigram_distribution(vocab)
+        probs = unigram_probs(vocab)
         i, j = vocab.index["a"], vocab.index["c"]
-        got = smoothed_bigram_prob(i, j, table, uni, SmoothingConfig(lam=1.0))
-        assert got == float(uni.probs[i] * uni.probs[j])
+        got = smoothed_bigram_prob(i, j, table, probs, PmiConfig(lam=1.0))
+        assert got == float(probs[i] * probs[j])
 
     def test_no_smoothing_unseen_pair_is_zero(self):
         vocab, table = make_table(["a", "b", "c", "b", "a"], 1)
-        uni = unigram_distribution(vocab)
+        probs = unigram_probs(vocab)
         i, j = vocab.index["a"], vocab.index["c"]
-        assert smoothed_bigram_prob(i, j, table, uni, SmoothingConfig(lam=0.0)) == 0.0
+        assert smoothed_bigram_prob(i, j, table, probs, PmiConfig(lam=0.0)) == 0.0
 
     def test_hand_arithmetic_on_window_two_example(self):
         # counts (a,b)=1 and (b,a)=1 out of 5 pairs total gives 2/10
         vocab, table = make_table(["a", "b", "a", "c"], 2)
-        uni = unigram_distribution(vocab)
+        probs = unigram_probs(vocab)
         i, j = vocab.index["a"], vocab.index["b"]
-        got = smoothed_bigram_prob(i, j, table, uni, SmoothingConfig(lam=0.0))
+        got = smoothed_bigram_prob(i, j, table, probs, PmiConfig(lam=0.0))
         assert got == pytest.approx(0.2, abs=1e-15)
 
     def test_empty_table_rejected(self):
         vocab, table = make_table(["a"], 2)
-        uni = unigram_distribution(vocab)
+        probs = unigram_probs(vocab)
         with pytest.raises(ValueError):
-            smoothed_bigram_prob(0, 0, table, uni, SmoothingConfig())
+            smoothed_bigram_prob(0, 0, table, probs, PmiConfig())
 
 
 class TestWeightTransform:
     def test_zero_maps_to_zero(self):
-        assert weight_transform(0.0, WeightConfig(alpha=0.5)) == 0.0
+        assert weight_transform(0.0, PmiConfig(alpha=0.5)) == 0.0
 
     def test_identity_at_alpha_one(self):
-        assert weight_transform(0.2, WeightConfig(alpha=1.0)) == pytest.approx(0.2)
+        assert weight_transform(0.2, PmiConfig(alpha=1.0)) == pytest.approx(0.2)
 
     def test_square_root(self):
-        assert weight_transform(0.25, WeightConfig(alpha=0.5)) == pytest.approx(0.5)
+        assert weight_transform(0.25, PmiConfig(alpha=0.5)) == pytest.approx(0.5)
 
     def test_cap_limits_input(self):
-        assert weight_transform(0.9, WeightConfig(alpha=1.0, cap=0.5)) == pytest.approx(0.5)
+        assert weight_transform(0.9, PmiConfig(alpha=1.0, cap=0.5)) == pytest.approx(0.5)
 
     def test_monotone_in_p_for_random_configs(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            cfg = WeightConfig(
+            cfg = PmiConfig(
                 alpha=float(rng.uniform(0.1, 3.0)),
                 cap=float(rng.uniform(0.05, 1.0)) if rng.random() < 0.5 else None,
             )
@@ -124,75 +117,63 @@ class TestWeightTransform:
 class TestPmiBlock:
     def test_full_backoff_gives_exactly_zero_pmi(self):
         vocab, table = make_table(["a", "b", "a", "c", "b", "a"], 2)
-        uni = unigram_distribution(vocab)
-        block, _ = pmi_block(
-            range(len(vocab)), range(len(vocab)), table, uni,
-            SmoothingConfig(lam=1.0), WeightConfig(),
+        pmi, _, _ = pmi_block(
+            range(len(vocab)), range(len(vocab)), table, PmiConfig(lam=1.0)
         )
-        assert np.all(block.values == 0.0)
+        assert np.all(pmi == 0.0)
 
     def test_zero_mass_entries_masked(self):
         vocab, table = make_table(["a", "b", "c", "b", "a"], 1)
-        uni = unigram_distribution(vocab)
-        block, weights = pmi_block(
-            range(len(vocab)), range(len(vocab)), table, uni,
-            SmoothingConfig(lam=0.0), WeightConfig(),
+        pmi, weights, _ = pmi_block(
+            range(len(vocab)), range(len(vocab)), table, PmiConfig(lam=0.0)
         )
         i, j = vocab.index["a"], vocab.index["c"]
-        assert block.values[i, j] == 0.0
-        assert weights.values[i, j] == 0.0
+        assert pmi[i, j] == 0.0
+        assert weights[i, j] == 0.0
 
     def test_normalized_weight_peak_is_exactly_one(self):
         vocab, table = make_table(["a", "b", "a", "c", "b", "a"], 2)
-        uni = unigram_distribution(vocab)
-        _, weights = pmi_block(
-            range(len(vocab)), range(len(vocab)), table, uni,
-            SmoothingConfig(), WeightConfig(),
+        _, weights, normalizer = pmi_block(
+            range(len(vocab)), range(len(vocab)), table, PmiConfig()
         )
-        assert weights.values.max() == 1.0
-        assert weights.normalizer > 0.0
+        assert weights.max() == 1.0
+        assert normalizer > 0.0
 
     def test_matches_scalar_probabilities(self):
         vocab, table = make_table(["a", "b", "a", "c", "b", "a", "c"], 3)
-        uni = unigram_distribution(vocab)
-        scfg = SmoothingConfig(lam=0.25)
-        block, _ = pmi_block(
-            range(len(vocab)), range(len(vocab)), table, uni, scfg, WeightConfig()
-        )
+        probs = unigram_probs(vocab)
+        cfg = PmiConfig(lam=0.25)
+        pmi, _, _ = pmi_block(range(len(vocab)), range(len(vocab)), table, cfg)
         for i in range(len(vocab)):
             for j in range(len(vocab)):
-                p = smoothed_bigram_prob(i, j, table, uni, scfg)
-                expected = math.log(p / float(uni.probs[i] * uni.probs[j])) if p > 0 else 0.0
-                assert block.values[i, j] == pytest.approx(expected, abs=1e-15)
+                p = smoothed_bigram_prob(i, j, table, probs, cfg)
+                expected = math.log(p / float(probs[i] * probs[j])) if p > 0 else 0.0
+                assert pmi[i, j] == pytest.approx(expected, abs=1e-15)
 
     def test_two_word_corpus_against_scalar_script(self):
         # alternating a b ... of length 10^4, window 1, no smoothing
         tokens = ["a", "b"] * 5000
         vocab, table = make_table(tokens, 1)
-        uni = unigram_distribution(vocab)
-        block, _ = pmi_block(
-            range(2), range(2), table, uni, SmoothingConfig(lam=0.0), WeightConfig()
-        )
+        pmi, _, _ = pmi_block(range(2), range(2), table, PmiConfig(lam=0.0))
         i, j = vocab.index["a"], vocab.index["b"]
         # scalar computation straight from raw counts with plain floats
         c_ab = table.pair_count(i, j)
         c_ba = table.pair_count(j, i)
         p_emp = (c_ab + c_ba) / (2.0 * table.total_pairs)
         expected = math.log(p_emp / (0.5 * 0.5))
-        assert abs(block.values[i, j] - expected) < 1e-12
+        assert abs(pmi[i, j] - expected) < 1e-12
 
     def test_transpose_symmetry_between_blocks(self):
         rng = np.random.default_rng(3)
         words = [chr(ord("a") + k) * 2 for k in range(8)]
         tokens = [words[int(k)] for k in rng.integers(0, 8, 600)]
         vocab, table = make_table(tokens, 3)
-        uni = unigram_distribution(vocab)
-        scfg, wcfg = SmoothingConfig(lam=0.2), WeightConfig()
+        cfg = PmiConfig(lam=0.2)
         rows, cols = range(0, 3), range(3, 8)
-        ab_g, ab_w = pmi_block(rows, cols, table, uni, scfg, wcfg)
-        ba_g, ba_w = pmi_block(cols, rows, table, uni, scfg, wcfg)
-        np.testing.assert_array_equal(ab_g.values, ba_g.values.T)
-        np.testing.assert_array_equal(ab_w.values, ba_w.values.T)
+        ab_g, ab_w, _ = pmi_block(rows, cols, table, cfg)
+        ba_g, ba_w, _ = pmi_block(cols, rows, table, cfg)
+        np.testing.assert_array_equal(ab_g, ba_g.T)
+        np.testing.assert_array_equal(ab_w, ba_w.T)
 
     def test_independence_null(self):
         # counts proportional to the product of unigram weights give zero PMI
@@ -205,17 +186,13 @@ class TestPmiBlock:
             for i in range(4)
         }
         table = CooccurrenceTable.from_rows(1, vocab, rows)
-        uni = unigram_distribution(vocab)
-        block, _ = pmi_block(
-            range(4), range(4), table, uni, SmoothingConfig(lam=0.0), WeightConfig()
-        )
-        assert np.max(np.abs(block.values)) < 1e-10
+        pmi, _, _ = pmi_block(range(4), range(4), table, PmiConfig(lam=0.0))
+        assert np.max(np.abs(pmi)) < 1e-10
 
     def test_empty_table_propagates_error(self):
         vocab, table = make_table(["a"], 2)
-        uni = unigram_distribution(vocab)
         with pytest.raises(ValueError):
-            pmi_block(range(1), range(1), table, uni, SmoothingConfig(), WeightConfig())
+            pmi_block(range(1), range(1), table, PmiConfig())
 
 
 class TestPmiRow:
@@ -224,31 +201,29 @@ class TestPmiRow:
         words = [chr(ord("a") + k) * 2 for k in range(9)]
         tokens = [words[int(k)] for k in rng.integers(0, 9, 800)]
         vocab, table = make_table(tokens, 2)
-        uni = unigram_distribution(vocab)
-        scfg, wcfg = SmoothingConfig(lam=0.1), WeightConfig()
+        cfg = PmiConfig(lam=0.1)
         core = range(0, 5)
-        gblk, wblk = pmi_block(core, core, table, uni, scfg, wcfg)
+        pmi, weights, normalizer = pmi_block(core, core, table, cfg)
         cols = np.arange(5)
-        rows_of = PmiRows(cols, table, uni, scfg, wcfg, normalizer=wblk.normalizer)
+        rows_of = PmiRows(cols, table, cfg, normalizer)
         for i in core:
             g, w = rows_of([i])
-            np.testing.assert_array_equal(g[0], gblk.values[i])
-            np.testing.assert_array_equal(w[0], wblk.values[i])
+            np.testing.assert_array_equal(g[0], pmi[i])
+            np.testing.assert_array_equal(w[0], weights[i])
         # one batch of rows, in any order and with repeats, gives the same rows
         order = [3, 0, 4, 3, 1, 2]
         g, w = rows_of(order)
-        np.testing.assert_array_equal(g, gblk.values[order])
-        np.testing.assert_array_equal(w, wblk.values[order])
+        np.testing.assert_array_equal(g, pmi[order])
+        np.testing.assert_array_equal(w, weights[order])
 
     def test_arbitrary_column_sets(self):
         vocab, table = make_table(["a", "b", "a", "c", "b", "a"], 2)
-        uni = unigram_distribution(vocab)
-        scfg, wcfg = SmoothingConfig(lam=0.0), WeightConfig()
+        cfg = PmiConfig(lam=0.0)
         cols = np.array([vocab.index["c"], vocab.index["a"]])
-        g, w = PmiRows(cols, table, uni, scfg, wcfg)([vocab.index["b"]])
+        g, w = PmiRows(cols, table, cfg)([vocab.index["b"]])
         assert g.shape == (1, 2) and w.shape == (1, 2)
-        full, _ = pmi_block(range(3), range(3), table, uni, scfg, wcfg)
-        np.testing.assert_allclose(g[0], full.values[vocab.index["b"], cols])
+        full, _, _ = pmi_block(range(3), range(3), table, cfg)
+        np.testing.assert_allclose(g[0], full[vocab.index["b"], cols])
 
 
 class TestWeightNormalizer:
@@ -259,20 +234,19 @@ class TestWeightNormalizer:
         words = [chr(ord("a") + k // 26) + chr(ord("a") + k % 26) for k in range(40)]
         tokens = [words[int(k)] for k in rng.zipf(1.5, 3000) % 40]
         vocab, table = make_table(tokens, 3)
-        uni = unigram_distribution(vocab)
-        scfg, wcfg = SmoothingConfig(lam=lam), WeightConfig(alpha=alpha, cap=cap)
+        cfg = PmiConfig(lam=lam, alpha=alpha, cap=cap)
         for size in (1, 5, 17, len(vocab)):
             core = range(0, size)
-            _, wblk = pmi_block(core, core, table, uni, scfg, wcfg)
-            assert weight_normalizer(core, table, uni, scfg, wcfg) == wblk.normalizer
+            _, _, normalizer = pmi_block(core, core, table, cfg)
+            assert weight_normalizer(core, table, cfg) == normalizer
 
     def test_unobserved_top_pair_sets_the_scale(self):
         # the most frequent word never pairs with itself, so with full
         # backoff the block maximum is the unobserved lam * P(0)^2 cell
         vocab = Vocabulary(["a", "b", "c"], [5, 3, 1], 9)
         table = CooccurrenceTable.from_rows(1, vocab, {0: {1: 1, 2: 1}})
-        uni = unigram_distribution(vocab)
-        scfg, wcfg = SmoothingConfig(lam=1.0), WeightConfig(alpha=1.0)
-        _, wblk = pmi_block(range(3), range(3), table, uni, scfg, wcfg)
-        got = weight_normalizer(range(3), table, uni, scfg, wcfg)
-        assert got == wblk.normalizer == float(uni.probs[0] * uni.probs[0])
+        probs = unigram_probs(vocab)
+        cfg = PmiConfig(lam=1.0, alpha=1.0)
+        _, _, normalizer = pmi_block(range(3), range(3), table, cfg)
+        got = weight_normalizer(range(3), table, cfg)
+        assert got == normalizer == float(probs[0] * probs[0])
