@@ -148,6 +148,7 @@ def cmd_factorize_core(args) -> None:
                 "residuals": diag.residuals,
                 "iterations": diag.iterations,
                 "converged": diag.converged,
+                "method": diag.method,
             },
             "weight_normalizer": normalizer,
         },

@@ -11,8 +11,8 @@ whenever it was written for that very text and vocabulary.
 
 from __future__ import annotations
 
-import io
 import os
+import re
 import string
 import struct
 import zlib
@@ -30,6 +30,8 @@ from .ioutil import ParseError, atomic_write, sha256
 DOC_BREAK = None
 
 _STRIP = str.maketrans("", "", string.punctuation)
+#: One line of a string with its ending, split as ``open()`` splits a file.
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 
 
 def tokenize(source: str | Iterable[str]) -> Iterator[str | None]:
@@ -40,8 +42,9 @@ def tokenize(source: str | Iterable[str]) -> Iterator[str | None]:
     :data:`DOC_BREAK`.  A string is split into lines exactly as ``open()``
     splits a file: at ``\n``, ``\r`` and ``\r\n`` only.
     """
-    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
-    for line in lines:
+    if isinstance(source, str):
+        source = (m.group().rstrip("\r\n") for m in _LINE.finditer(source))
+    for line in source:
         if not line.rstrip("\n"):
             yield DOC_BREAK
             continue

@@ -23,6 +23,25 @@ def projected_gradient_oracle(target, weights, dim, steps=500):
     return x
 
 
+def exact_em_oracle(target, weights, dim, sweeps):
+    """The EM loop with a full eigendecomposition in every sweep."""
+    target = (target + target.T) / 2.0
+    approx = np.zeros_like(target)
+    residuals = [weighted_frobenius(target, approx, weights)]
+    for _ in range(sweeps):
+        factor, approx = psd_truncate(weights * target + (1.0 - weights) * approx, dim)
+        residuals.append(weighted_frobenius(target, approx, weights))
+    return factor, residuals
+
+
+def planted_instance(rng, n, d, noise=0.5):
+    """Rank-d PSD block plus symmetric noise, with symmetric weights in [0, 1]."""
+    v = rng.normal(size=(n, d))
+    e = rng.normal(size=(n, n))
+    w = rng.uniform(0.0, 1.0, size=(n, n))
+    return v @ v.T + noise * (e + e.T), (w + w.T) / 2.0
+
+
 def random_instance(rng, n, d):
     v = rng.normal(size=(n, d))
     g = v @ v.T + 0.3 * rng.normal(size=(n, n))
@@ -176,9 +195,69 @@ class TestEmFactorize:
         oracle_residual = weighted_frobenius(g, oracle_x, w)
         assert diag.residuals[-1] <= oracle_residual + 1e-6
 
+    @pytest.mark.parametrize("n", [30, 70], ids=["eigh", "block-krylov"])
+    def test_non_finite_target_rejected(self, n):
+        for bad in (np.nan, np.inf):
+            target = np.eye(n)
+            target[0, 2] = target[2, 0] = bad
+            with pytest.raises(ValueError, match="target must be finite"):
+                em_factorize(target, np.ones((n, n)), CoreSolveConfig(1))
+
     def test_dim_larger_than_block_rejected(self):
         with pytest.raises(ValueError):
             em_factorize(np.eye(2), np.ones((2, 2)), CoreSolveConfig(3))
+
+
+class TestBlockKrylov:
+    """Blocks above 4(d + 16) words are truncated by Rayleigh-Ritz on a block-Krylov space."""
+
+    def test_monotone_trace(self):
+        rng = np.random.default_rng(11)
+        for n, d in ((400, 20), (450, 40)):
+            g, w = planted_instance(rng, n, d)
+            _, diag = em_factorize(g, w, CoreSolveConfig(d, max_iters=60, tol=1e-14))
+            assert diag.method == "block-krylov"
+            assert all(b <= a for a, b in zip(diag.residuals, diag.residuals[1:]))
+
+    def test_psd_and_rank_bounded(self):
+        rng = np.random.default_rng(12)
+        g, w = planted_instance(rng, 400, 30)
+        factor, diag = em_factorize(g, w, CoreSolveConfig(30, max_iters=10))
+        assert factor.shape == (400, 30)
+        x = factor @ factor.T
+        evals = np.linalg.eigvalsh(x)
+        assert evals.min() >= -1e-9 * evals.max()
+        assert np.sum(evals > 1e-8 * evals.max()) <= 30
+        assert weighted_frobenius((g + g.T) / 2.0, x, w) == pytest.approx(diag.residuals[-1])
+
+    @pytest.mark.parametrize("n,d", [(400, 20), (500, 50)])
+    def test_residual_close_to_exact_eigh(self, n, d):
+        rng = np.random.default_rng(n + d)
+        g, w = planted_instance(rng, n, d, noise=2.0)
+        _, diag = em_factorize(g, w, CoreSolveConfig(d, max_iters=15, tol=1e-14))
+        _, exact = exact_em_oracle(g, w, d, diag.iterations)
+        assert diag.residuals[-1] <= exact[-1] * 1.001
+
+    def test_two_runs_bit_identical(self):
+        rng = np.random.default_rng(13)
+        g, w = planted_instance(rng, 400, 25)
+        f1, d1 = em_factorize(g, w, CoreSolveConfig(25, max_iters=8))
+        f2, d2 = em_factorize(g, w, CoreSolveConfig(25, max_iters=8))
+        np.testing.assert_array_equal(f1, f2)
+        assert d1.residuals == d2.residuals
+
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_path_boundary(self, dim):
+        rng = np.random.default_rng(14)
+        edge = 4 * (dim + 16)
+        g, w = planted_instance(rng, edge + 1, dim)
+        cfg = CoreSolveConfig(dim, max_iters=6, tol=1e-14)
+        factor, diag = em_factorize(g[:edge, :edge], w[:edge, :edge], cfg)
+        assert diag.method == "eigh"
+        expected, residuals = exact_em_oracle(g[:edge, :edge], w[:edge, :edge], dim, diag.iterations)
+        np.testing.assert_array_equal(factor, expected)
+        assert diag.residuals == residuals
+        assert em_factorize(g, w, cfg)[1].method == "block-krylov"
 
 
 class TestConfigValidation:

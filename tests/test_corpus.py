@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 import zlib
 from collections import Counter
 from pathlib import Path
@@ -6,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pmivec
 from pmivec.corpus import (
     DOC_BREAK,
     CooccurrenceTable,
@@ -48,6 +52,29 @@ class TestTokenize:
 
     def test_empty_input(self):
         assert list(tokenize("")) == []
+
+    def test_string_is_not_copied(self):
+        # a string of about 10 MB is split lazily: draining it raises peak RSS by under 10 MB
+        pytest.importorskip("resource")
+        script = (
+            "import resource, sys\n"
+            "from pmivec.corpus import tokenize\n"
+            "text = 'the cat sat on the mat\\r\\n\\n' * 400_000\n"
+            "unit = 1 if sys.platform == 'darwin' else 1024\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit\n"
+            "tokens = sum(1 for _ in tokenize(text))\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit\n"
+            "print(len(text), tokens, after - before)\n"
+        )
+        src = str(Path(pmivec.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        chars, tokens, grown = map(int, done.stdout.split())
+        assert chars >= 10_000_000 and tokens == 7 * 400_000
+        assert grown < 10 * 2**20, f"peak RSS rose by {grown / 2**20:.1f} MB"
 
     def test_letters_only_rule_drops_mixed_tokens(self):
         assert list(tokenize("a b2c d")) == ["a", "d"]
