@@ -7,7 +7,7 @@ from the current iterate, then truncate to the best rank-d PSD matrix: by a
 full eigendecomposition up to 4(d + 16) words, above that by Rayleigh-Ritz on
 a block-Krylov space started from the first d + 16 columns, then from the last
 sweep's Ritz vectors.  Each sweep can only lower the weighted residual (the
-last iterate stays feasible), so the solve needs no step size and no randomness.
+previous iterate stays feasible), so the solve needs no step size or randomness.
 """
 
 from __future__ import annotations

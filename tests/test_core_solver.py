@@ -34,17 +34,10 @@ def exact_em_oracle(target, weights, dim, sweeps):
     return factor, residuals
 
 
-def planted_instance(rng, n, d, noise=0.5):
+def random_instance(rng, n, d, noise=0.3):
     """Rank-d PSD block plus symmetric noise, with symmetric weights in [0, 1]."""
     v = rng.normal(size=(n, d))
-    e = rng.normal(size=(n, n))
-    w = rng.uniform(0.0, 1.0, size=(n, n))
-    return v @ v.T + noise * (e + e.T), (w + w.T) / 2.0
-
-
-def random_instance(rng, n, d):
-    v = rng.normal(size=(n, d))
-    g = v @ v.T + 0.3 * rng.normal(size=(n, n))
+    g = v @ v.T + noise * rng.normal(size=(n, n))
     g = (g + g.T) / 2.0
     w = rng.uniform(0.0, 1.0, size=(n, n))
     w = (w + w.T) / 2.0
@@ -214,14 +207,14 @@ class TestBlockKrylov:
     def test_monotone_trace(self):
         rng = np.random.default_rng(11)
         for n, d in ((400, 20), (450, 40)):
-            g, w = planted_instance(rng, n, d)
+            g, w = random_instance(rng, n, d)
             _, diag = em_factorize(g, w, CoreSolveConfig(d, max_iters=60, tol=1e-14))
             assert diag.method == "block-krylov"
             assert all(b <= a for a, b in zip(diag.residuals, diag.residuals[1:]))
 
     def test_psd_and_rank_bounded(self):
         rng = np.random.default_rng(12)
-        g, w = planted_instance(rng, 400, 30)
+        g, w = random_instance(rng, 400, 30)
         factor, diag = em_factorize(g, w, CoreSolveConfig(30, max_iters=10))
         assert factor.shape == (400, 30)
         x = factor @ factor.T
@@ -233,14 +226,14 @@ class TestBlockKrylov:
     @pytest.mark.parametrize("n,d", [(400, 20), (500, 50)])
     def test_residual_close_to_exact_eigh(self, n, d):
         rng = np.random.default_rng(n + d)
-        g, w = planted_instance(rng, n, d, noise=2.0)
+        g, w = random_instance(rng, n, d, noise=4.0)
         _, diag = em_factorize(g, w, CoreSolveConfig(d, max_iters=15, tol=1e-14))
         _, exact = exact_em_oracle(g, w, d, diag.iterations)
         assert diag.residuals[-1] <= exact[-1] * 1.001
 
     def test_two_runs_bit_identical(self):
         rng = np.random.default_rng(13)
-        g, w = planted_instance(rng, 400, 25)
+        g, w = random_instance(rng, 400, 25)
         f1, d1 = em_factorize(g, w, CoreSolveConfig(25, max_iters=8))
         f2, d2 = em_factorize(g, w, CoreSolveConfig(25, max_iters=8))
         np.testing.assert_array_equal(f1, f2)
@@ -250,7 +243,7 @@ class TestBlockKrylov:
     def test_path_boundary(self, dim):
         rng = np.random.default_rng(14)
         edge = 4 * (dim + 16)
-        g, w = planted_instance(rng, edge + 1, dim)
+        g, w = random_instance(rng, edge + 1, dim)
         cfg = CoreSolveConfig(dim, max_iters=6, tol=1e-14)
         factor, diag = em_factorize(g[:edge, :edge], w[:edge, :edge], cfg)
         assert diag.method == "eigh"
