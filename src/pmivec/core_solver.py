@@ -8,6 +8,13 @@ full eigendecomposition up to 4(d + 16) words, above that by Rayleigh-Ritz on
 a block-Krylov space started from the first d + 16 columns, then from the last
 sweep's Ritz vectors.  Each sweep can only lower the weighted residual (the
 previous iterate stays feasible), so the solve needs no step size or randomness.
+
+Dense memory, for an n-word block: the caller's target and weights, used as
+they are when the target is exactly symmetric (else one averaged copy), plus
+two n x n arrays of the solve: the iterate, whose buffer also holds the
+Krylov basis between the imputation and ``F F^T``, and the work block (the
+imputed block, then the residual terms).  The Rayleigh-Ritz matrix is at most
+min(n, 9(d + 16)) square and is built one block of columns at a time.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ class CoreSolveConfig:
 
 #: Oversampling of the first Krylov block, and block steps of the first and later sweeps.
 _OVERSAMPLE, _FIRST_STEPS, _WARM_STEPS = 16, 8, 2
+#: Singular values of a projected Krylov block below this fraction of its
+#: longest column before projection lie in the space so far.
+_DEFLATE = 1e-10
 
 
 @dataclass
@@ -100,17 +110,59 @@ def _psd_factor(evals, evecs, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return basis * np.sqrt(lam), basis
 
 
-def _ritz_psd_factor(sym, start, steps: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _append_block(space, k: int, block, floor: float) -> int:
+    """Orthonormalize ``block`` against ``space[:, :k]`` into the next columns
+    of ``space``; returns how many columns it adds.
+
+    Classical Gram-Schmidt runs twice.  Between the runs, the SVD of the
+    projected block keeps only its directions above ``floor``: the rest lies
+    in the space already, as rounding noise or exact zeros, and QR would turn
+    it into directions that are not orthogonal to the space.  The second run
+    removes what the first left, magnified by small singular values; the
+    block is then orthonormal but for that tiny change, so a Cholesky QR
+    (``B L^-T`` with ``L L^T = B^T B``) restores it at matrix-product cost.
+    """
+    block -= space[:, :k] @ (space[:, :k].T @ block)
+    u, sv, _ = np.linalg.svd(block, full_matrices=False)
+    new = min(int(np.count_nonzero(sv > floor)), space.shape[0] - k)
+    if new:
+        block = u[:, :new]
+        block -= space[:, :k] @ (space[:, :k].T @ block)
+        space[:, k:k + new] = block @ np.linalg.inv(np.linalg.cholesky(block.T @ block).T)
+    return new
+
+
+def _ritz_psd_factor(sym, start, steps: int, dim: int, space) -> tuple[np.ndarray, np.ndarray]:
     """``_psd_factor`` of the Rayleigh-Ritz pairs of ``sym`` on the space
-    ``[start, sym start, ..., sym^steps start]``, each block orthonormalized by QR."""
+    ``[start, sym start, ..., sym^steps start]``.
+
+    The orthonormal basis is written into the columns of ``space``, an n x n
+    scratch array, so it never has more than n columns.  The first block is
+    orthonormalized by QR, each later one by :func:`_append_block`.  When
+    ``sym`` maps the space into itself (an exactly low-rank, diagonal or
+    block-diagonal ``sym`` can), the next block is the unit vectors of the
+    words the space covers least, so a solve does not stay in the part of
+    the block that its first columns reach.
+    """
     n, b = start.shape
-    space = np.empty((n, b * (steps + 1)))  # in place: a block list plus hstack peaks higher
     space[:, :b] = np.linalg.qr(start)[0]
-    for k in range(1, steps + 1):
-        space[:, k * b:(k + 1) * b] = np.linalg.qr(sym @ space[:, (k - 1) * b:k * b])[0]
-    basis = np.linalg.qr(space)[0]
-    del space
-    evals, evecs = np.linalg.eigh(basis.T @ (sym @ basis))  # reads one triangle only
+    lo, k = 0, b  # the last block is space[:, lo:k]
+    for _ in range(steps):
+        block = sym @ space[:, lo:k]
+        new = _append_block(space, k, block, _DEFLATE * np.linalg.norm(block, axis=0).max())
+        if new == 0 and k < n:
+            cover = np.einsum("ij,ij->i", space[:, :k], space[:, :k])
+            block = np.zeros((n, min(b, n - k)))
+            block[np.argsort(cover, kind="stable")[:block.shape[1]], np.arange(block.shape[1])] = 1.0
+            new = _append_block(space, k, block, _DEFLATE)
+        if new == 0:
+            break
+        lo, k = k, k + new
+    basis = space[:, :k]
+    ritz = np.empty((k, k))
+    for j in range(0, k, b):  # eigh reads the lower triangle only
+        ritz[j:, j:j + b] = basis[:, j:].T @ (sym @ basis[:, j:j + b])
+    evals, evecs = np.linalg.eigh(ritz)
     return _psd_factor(evals[-dim:], basis @ evecs[:, -dim:], dim)  # eigh sorts ascending
 
 
@@ -131,14 +183,16 @@ def em_factorize(
         raise ValueError("target and weights must share a shape")
     if target.ndim != 2 or target.shape[0] != target.shape[1]:
         raise ValueError("target must be square")
-    if not np.all((weights >= 0.0) & (weights <= 1.0)):
-        raise ValueError("weights must lie in [0, 1]")
-    if not np.all(np.isfinite(target)):
-        raise ValueError("target must be finite")
     n = target.shape[0]
     if cfg.dim > n:
         raise ValueError("dim exceeds the block size")
-    target = (target + target.T) / 2.0
+    # reductions, not n x n boolean temporaries; a NaN fails every comparison
+    if not (weights.min() >= 0.0 and weights.max() <= 1.0):
+        raise ValueError("weights must lie in [0, 1]")
+    if not (np.isfinite(target.min()) and np.isfinite(target.max())):
+        raise ValueError("target must be finite")
+    if not np.array_equal(target, target.T):  # else (target + target.T) / 2 equals it bit for bit
+        target = (target + target.T) / 2.0
     method = "block-krylov" if n > 4 * (cfg.dim + _OVERSAMPLE) else "eigh"
 
     approx = np.zeros_like(target)
@@ -160,9 +214,10 @@ def em_factorize(
         work += approx
         if method == "eigh":
             factor, approx = psd_truncate(work, cfg.dim)
-        else:  # the first sweep starts from the most frequent words' columns
-            factor, basis = (_ritz_psd_factor(work, basis, _WARM_STEPS, cfg.dim) if iterations else
-                             _ritz_psd_factor(work, work[:, :cfg.dim + _OVERSAMPLE], _FIRST_STEPS, cfg.dim))
+        else:  # the first sweep starts from the most frequent words' columns; the
+            # Krylov basis lives in the iterate's buffer, idle until F F^T overwrites it
+            start, steps = (basis, _WARM_STEPS) if iterations else (work[:, :cfg.dim + _OVERSAMPLE], _FIRST_STEPS)
+            factor, basis = _ritz_psd_factor(work, start, steps, cfg.dim, approx)
             np.matmul(factor, factor.T, out=approx)
         residuals.append(residual())
         iterations += 1

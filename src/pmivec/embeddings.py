@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass, field
 
@@ -62,7 +61,13 @@ def save_vec(emb: EmbeddingSet, path) -> None:
 
 
 def load_vec(path) -> EmbeddingSet:
-    """Read a .vec file; raises ParseError with a line number on any defect."""
+    """Read a .vec file; raises ParseError with a line number on any defect.
+
+    Each record's values are converted by one numpy call, which applies
+    ``float`` to every field.  Finiteness is checked for all records read so
+    far at once, before any later defect is reported, so the error raised is
+    always the file's first defect.
+    """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         parts = header.split()
@@ -75,32 +80,43 @@ def load_vec(path) -> EmbeddingSet:
         if n < 0 or dim < 1:
             raise ParseError(path, 1, "header out of range")
         words: list[str] = []
+        record_lines: list[int] = []
         seen: set[str] = set()
-        # rows are stacked at the end: the header is not trusted to size anything
+        # rows are appended as they come: the header is not trusted to size anything
         values = array("d")
+
+        def non_finite() -> ParseError | None:
+            finite = np.isfinite(np.frombuffer(values).reshape(-1, dim)).all(axis=1)
+            if finite.all():
+                return None
+            k = int(np.argmin(finite))
+            return ParseError(path, record_lines[k], f"non-finite value in record for {words[k]!r}")
+
+        def defect(line_no: int, message: str) -> ParseError:
+            return non_finite() or ParseError(path, line_no, message)
+
         line_no = 1
         for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
+            fields = line.split()
+            if not fields:
                 continue
             if len(words) == n:
-                raise ParseError(path, line_no, f"more than {n} records")
-            fields = line.split()
+                raise defect(line_no, f"more than {n} records")
             word = fields[0]
             if len(fields) != dim + 1:
-                raise ParseError(
-                    path, line_no, f"record for {word!r} has {len(fields) - 1} values, expected {dim}"
-                )
+                raise defect(line_no, f"record for {word!r} has {len(fields) - 1} values, expected {dim}")
             if word in seen:
-                raise ParseError(path, line_no, f"duplicate word {word!r}")
+                raise defect(line_no, f"duplicate word {word!r}")
             try:
-                row = [float(x) for x in fields[1:]]
+                values.frombytes(np.array(fields[1:], dtype=float).tobytes())
             except ValueError:
-                raise ParseError(path, line_no, f"non-numeric value in record for {word!r}") from None
-            if not all(map(math.isfinite, row)):
-                raise ParseError(path, line_no, f"non-finite value in record for {word!r}")
-            values.extend(row)
+                raise defect(line_no, f"non-numeric value in record for {word!r}") from None
             seen.add(word)
             words.append(word)
+            record_lines.append(line_no)
         if len(words) != n:
-            raise ParseError(path, line_no, f"header claims {n} records, found {len(words)}")
-    return EmbeddingSet(words, np.array(values, dtype=float).reshape(n, dim))
+            raise defect(line_no, f"header claims {n} records, found {len(words)}")
+        error = non_finite()
+        if error is not None:
+            raise error
+    return EmbeddingSet(words, np.frombuffer(values).reshape(n, dim))

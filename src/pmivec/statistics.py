@@ -10,6 +10,11 @@ Pair counts are symmetrized before use, so every block is exactly symmetric
 under transposition of its index ranges.  Entries with zero smoothed
 probability mass get PMI 0 and weight 0; a zero weight makes the PMI value
 inert in the downstream weighted fits, so any finite placeholder would do.
+
+A dense block is built in the memory of its two outputs: the gathered
+counts become the probabilities and then the weights, the unigram products
+become the PMI.  The smoothing step adds one temporary of the same size, so
+an r x c block peaks at three r x c float64 arrays beyond the table.
 """
 
 from __future__ import annotations
@@ -67,17 +72,21 @@ def _check_range(r: range, n: int, label: str) -> None:
 
 def _smoothed(counts: np.ndarray, indep: np.ndarray, total_pairs: int,
               cfg: PmiConfig) -> np.ndarray:
-    """Interpolated pair probability from symmetrized counts, which are
-    scaled to the empirical probability in place."""
+    """Interpolated pair probability from symmetrized counts, written over
+    the counts with the roundings of ``(1 - lam) * emp + lam * indep``."""
     counts /= 2.0 * total_pairs
-    return (1.0 - cfg.lam) * counts + cfg.lam * indep
+    counts *= 1.0 - cfg.lam
+    counts += cfg.lam * indep
+    return counts
 
 
 def _fit_weights(p: np.ndarray, cfg: PmiConfig) -> np.ndarray:
-    """Raw fit weights; entries without probability mass get weight 0."""
-    weights = weight_transform(p, cfg)
-    weights[~(p > 0.0)] = 0.0
-    return weights
+    """:func:`weight_transform` written over the probabilities.  They are
+    never negative, so entries without probability mass get weight 0."""
+    if cfg.cap is not None:
+        np.minimum(p, cfg.cap, out=p)
+    p **= cfg.alpha  # the operator, not np.power: it has the sqrt fast path of ``p**alpha``
+    return p
 
 
 def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,11 +141,13 @@ class PmiRows:
     def __call__(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """PMI and weight rows of the words ``rows``; unseen pairs keep
         weight 0 under lam = 0."""
-        indep = np.outer(self.probs[np.asarray(rows, dtype=np.int64)], self.probs[self.cols])
-        p = _smoothed(self._gather(rows), indep, self.table.total_pairs, self.cfg)
+        # two dense buffers: the counts become p, then the weights; the
+        # unigram products become p / indep, then the PMI
+        pmi = np.outer(self.probs[np.asarray(rows, dtype=np.int64)], self.probs[self.cols])
+        p = _smoothed(self._gather(rows), pmi, self.table.total_pairs, self.cfg)
         mask = p > 0.0
-        pmi = np.zeros_like(p)
-        pmi[mask] = np.log(p[mask] / indep[mask])
+        np.divide(p, pmi, out=pmi)  # p is 0 off the mask and the products never are
+        np.log(pmi, out=pmi, where=mask)
         weights = _fit_weights(p, self.cfg)
         if self.normalizer != 1.0:
             weights /= self.normalizer
@@ -158,7 +169,8 @@ def pmi_block(
     pmi, weights = PmiRows(col_range, table, cfg)(row_range)
     peak = float(weights.max(initial=0.0))
     normalizer = peak if peak > 0.0 else 1.0
-    return pmi, weights / normalizer, normalizer
+    weights /= normalizer
+    return pmi, weights, normalizer
 
 
 def weight_normalizer(core: range, table: CooccurrenceTable, cfg: PmiConfig) -> float:

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pmivec.core_solver import (
     CoreSolveConfig,
+    _ritz_psd_factor,
     em_factorize,
     psd_truncate,
     weighted_frobenius,
@@ -251,6 +254,46 @@ class TestBlockKrylov:
         np.testing.assert_array_equal(factor, expected)
         assert diag.residuals == residuals
         assert em_factorize(g, w, cfg)[1].method == "block-krylov"
+        # one word past the edge, b(steps + 1) > n: the space fills all n
+        # columns, so with W = 1 one sweep is the exact truncation
+        factor, _ = em_factorize(g, np.ones_like(g), CoreSolveConfig(dim, max_iters=1))
+        np.testing.assert_allclose(factor @ factor.T, psd_truncate(g, dim)[1], rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("kind", ["rank-3", "diagonal", "two-components"])
+    def test_invariant_start_block(self, kind):
+        # the first d + 16 columns span a subspace the target maps into itself,
+        # so the next Krylov block projects to rounding level or to exact zeros
+        n, dim = 300, 50
+        rng = np.random.default_rng(15)
+        if kind == "rank-3":
+            v = rng.normal(size=(n, 3))
+            g = v @ v.T
+        elif kind == "diagonal":  # the first columns hold the smallest entries
+            g = np.diag(np.arange(1.0, n + 1.0))
+        else:  # the larger component shares no entry with the first columns
+            a, v = rng.normal(size=(dim + 16, 3)), 3.0 * rng.normal(size=(n - dim - 16, 12))
+            g = np.zeros((n, n))
+            g[:dim + 16, :dim + 16], g[dim + 16:, dim + 16:] = a @ a.T, v @ v.T
+        factor, diag = em_factorize(g, np.ones_like(g), CoreSolveConfig(dim, max_iters=1))
+        assert diag.method == "block-krylov"
+        np.testing.assert_allclose(factor @ factor.T, psd_truncate(g, dim)[1], rtol=0, atol=1e-10)
+        _, ritz = _ritz_psd_factor(g, g[:, :dim + 16], 8, dim, np.empty((n, n)))
+        np.testing.assert_allclose(ritz.T @ ritz, np.eye(dim), rtol=0, atol=1e-12)
+
+    def test_memory_budget(self):
+        # beyond its inputs the solve holds the iterate and the work block,
+        # whose Krylov basis and Ritz matrix add well under one n x n array
+        n, d = 600, 20
+        g, w = random_instance(np.random.default_rng(16), n, d)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, diag = em_factorize(g, w, CoreSolveConfig(d, max_iters=3))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert diag.method == "block-krylov"
+        assert peak / (8 * n * n) <= 3.25
 
 
 class TestConfigValidation:

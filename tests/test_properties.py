@@ -1,5 +1,5 @@
 """Property tests for tokenizing, pair counting, the bigram file's binary
-companion and the O(nnz) weight normalizer.
+companion, the O(nnz) weight normalizer and the ``.vec`` parser.
 
 The companion is a cache: whatever state it is in (current, stale, damaged
 or missing), ``load_bigrams`` must return exactly what parsing the text
@@ -7,12 +7,14 @@ returns, or raise the same ParseError.
 """
 
 import io
+import math
 import re
 import string
 import tempfile
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +28,7 @@ from pmivec.corpus import (
     save_bigrams,
     tokenize,
 )
+from pmivec.embeddings import EmbeddingSet, load_vec, save_vec
 from pmivec.ioutil import ParseError
 from pmivec.statistics import PmiConfig, pmi_block, weight_normalizer
 
@@ -216,3 +219,110 @@ def test_weight_normalizer_equals_dense_block_maximum(tokens, window, lam, alpha
     cfg = PmiConfig(lam=lam, alpha=alpha, cap=cap)
     _, _, normalizer = pmi_block(core, core, table, cfg)
     assert weight_normalizer(core, table, cfg) == normalizer
+
+
+def per_float_load_vec(path) -> EmbeddingSet:
+    """The ``.vec`` parser that converted one float at a time, kept as the
+    oracle of ``load_vec``."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline()
+        parts = header.split()
+        if len(parts) != 2:
+            raise ParseError(path, 1, "expected '<word count> <dim>' header")
+        try:
+            n, dim = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(path, 1, "header fields are not integers") from None
+        if n < 0 or dim < 1:
+            raise ParseError(path, 1, "header out of range")
+        words, seen, values = [], set(), []
+        line_no = 1
+        for line_no, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            if len(words) == n:
+                raise ParseError(path, line_no, f"more than {n} records")
+            fields = line.split()
+            word = fields[0]
+            if len(fields) != dim + 1:
+                raise ParseError(
+                    path, line_no, f"record for {word!r} has {len(fields) - 1} values, expected {dim}"
+                )
+            if word in seen:
+                raise ParseError(path, line_no, f"duplicate word {word!r}")
+            try:
+                row = [float(x) for x in fields[1:]]
+            except ValueError:
+                raise ParseError(path, line_no, f"non-numeric value in record for {word!r}") from None
+            if not all(map(math.isfinite, row)):
+                raise ParseError(path, line_no, f"non-finite value in record for {word!r}")
+            values.extend(row)
+            seen.add(word)
+            words.append(word)
+        if len(words) != n:
+            raise ParseError(path, line_no, f"header claims {n} records, found {len(words)}")
+    return EmbeddingSet(words, np.array(values, dtype=float).reshape(n, dim))
+
+
+def vec_outcome(load, path):
+    """Words and vector bytes that ``load`` returns, or its ParseError text."""
+    try:
+        emb = load(path)
+    except ParseError as exc:
+        return str(exc)
+    return emb.words, emb.vectors.shape, emb.vectors.tobytes()
+
+
+finite_st = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False)
+# field tokens that are non-finite, non-numeric, or numeric only to float()
+ODD_FIELDS = ["nan", "-inf", "Infinity", "1e999", "x", "1e", "0x10", "1_0", "\u0661\u0662", "+.5", "1,5"]
+field_st = st.one_of(finite_st.map(lambda x: format(x, ".6g")), finite_st.map(repr),
+                     finite_st.map(repr), st.sampled_from(ODD_FIELDS))
+space_st = st.sampled_from([" ", "  ", "\t", "\x0c", "\x1c", "\xa0", "\u3000"])
+
+
+@st.composite
+def vec_texts(draw):
+    """A ``.vec`` text that is well formed or has one or more defects."""
+    dim = draw(st.integers(1, 3))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        word = draw(st.sampled_from(["a", "b", "cc", "d\u00e9", "e", "f", "g"]))
+        count = max(dim + draw(st.sampled_from([0, 0, 0, 0, 0, -1, 1])), 0)
+        fields = draw(st.lists(field_st, min_size=count, max_size=count))
+        lines.append(draw(space_st).join([word, *fields]))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t\x1c", "\u3000"])))
+    records = sum(1 for line in lines if line.split())
+    n = max(records + draw(st.sampled_from([0, 0, 0, 0, -1, 1])), 0)
+    header = draw(st.sampled_from([f"{n} {dim}"] * 8 + [f"{n}", f"{n} x", f"-1 {dim}", f"{n} 0"]))
+    return "\n".join([header, *lines]) + "\n"
+
+
+@SETTINGS
+@given(vec_texts())
+@example("2 1\na inf\na 1\n")  # a non-finite value comes before a later duplicate
+@example("1 1\na nan\nb 1\n")  # and before a record too many
+@example("2 2\na 1 nan\nb x 1\n")  # and before a later non-numeric value
+@example("2 2\na 1 1e999\nb 1\n")  # and before a later short record
+@example("3 1\na 1\nb -inf\n")  # and before a short file
+@example("2 2\na 1 2\nb nan x\n")  # a non-numeric value in the same record comes first
+def test_load_vec_equals_per_float_parser(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "e.vec"
+        path.write_text(text, encoding="utf-8")
+        assert vec_outcome(load_vec, path) == vec_outcome(per_float_load_vec, path)
+
+
+@SETTINGS
+@given(st.integers(0, 6), st.integers(1, 4), st.data())
+def test_vec_round_trip_within_six_digits(n, dim, data):
+    values = data.draw(st.lists(finite_st, min_size=n * dim, max_size=n * dim))
+    vectors = np.array(values, dtype=float).reshape(n, dim)
+    words = [f"w{k}" for k in range(n)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "e.vec"
+        save_vec(EmbeddingSet(words, vectors), path)
+        loaded = load_vec(path)
+    assert loaded.words == words
+    np.testing.assert_allclose(loaded.vectors, vectors, rtol=5e-6, atol=0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,33 @@ def smoothed_bigram_prob(i, j, table, probs, cfg):
 def make_table(tokens, window, min_count=1):
     vocab = count_unigrams(iter(tokens), min_count=min_count)
     return vocab, count_bigrams(iter(tokens), vocab, window)
+
+
+def pmi_rows_oracle(rows, cols, table, cfg, normalizer=1.0):
+    """Out-of-place PMI and weight rows from a dense count matrix."""
+    n = len(table.vocab)
+    dense = np.zeros((n, n))
+    for i, j, count in table.pairs():
+        dense[i, j] = count
+    counts = (dense + dense.T)[np.ix_(rows, cols)]
+    probs = unigram_probs(table.vocab)
+    indep = np.outer(probs[rows], probs[cols])
+    counts /= 2.0 * table.total_pairs
+    p = (1.0 - cfg.lam) * counts + cfg.lam * indep
+    mask = p > 0.0
+    pmi = np.zeros_like(p)
+    pmi[mask] = np.log(p[mask] / indep[mask])
+    weights = weight_transform(p, cfg)
+    weights[~mask] = 0.0
+    if normalizer != 1.0:
+        weights /= normalizer
+    return pmi, weights
+
+
+def zipf_table(n_words, n_tokens, window, seed):
+    rng = np.random.default_rng(seed)
+    words = [f"w{k:04d}" for k in range(n_words)]
+    return make_table([words[int(k)] for k in rng.zipf(1.5, n_tokens) % n_words], window)
 
 
 class TestConfigs:
@@ -250,3 +278,45 @@ class TestWeightNormalizer:
         _, _, normalizer = pmi_block(range(3), range(3), table, cfg)
         got = weight_normalizer(range(3), table, cfg)
         assert got == normalizer == float(probs[0] * probs[0])
+
+
+class TestInPlaceBlock:
+    """The block builders work in place with the roundings of the plain formulas."""
+
+    @pytest.mark.parametrize(
+        "lam,alpha,cap",
+        [(0.0, 0.5, None), (0.1, 0.5, None), (0.1, 0.75, None), (0.1, 0.5, 2e-4), (0.0, 0.75, 2e-4)],
+    )
+    def test_bit_identical_to_out_of_place_oracle(self, lam, alpha, cap):
+        vocab, table = zipf_table(60, 4000, 3, seed=21)
+        cfg = PmiConfig(lam=lam, alpha=alpha, cap=cap)
+        core = range(0, 40)
+        pmi, weights, normalizer = pmi_block(core, core, table, cfg)
+        g, w = pmi_rows_oracle(list(core), list(core), table, cfg)
+        assert normalizer == w.max()
+        assert pmi.tobytes() == g.tobytes()
+        assert weights.tobytes() == (w / normalizer).tobytes()
+        if lam == 0.0:
+            assert np.count_nonzero(w == 0.0) > 0  # unseen pairs
+        if cap is not None:
+            uncapped = pmi_rows_oracle(list(core), list(core), table, PmiConfig(lam=lam, alpha=alpha))[1]
+            assert np.any(uncapped != w)  # the cap binds
+        rows, cols = [45, 3, 59, 45, 0], [7, 50, 2, 33]
+        g, w = pmi_rows_oracle(rows, cols, table, cfg, normalizer)
+        got_g, got_w = PmiRows(cols, table, cfg, normalizer)(rows)
+        assert got_g.tobytes() == g.tobytes()
+        assert got_w.tobytes() == w.tobytes()
+
+    def test_memory_budget(self):
+        # beyond the table, the block holds its two outputs and one
+        # temporary of the smoothing step
+        vocab, table = zipf_table(400, 40_000, 2, seed=22)
+        n = len(vocab)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pmi_block(range(n), range(n), table, PmiConfig())
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * n * n) <= 3.5
