@@ -9,11 +9,4 @@ from .corpus import CooccurrenceTable, Vocabulary, count_bigrams, count_unigrams
 from .embeddings import EmbeddingSet, load_vec, save_vec
 from .evaluation import cosine, eval_analogy_3cosmul, eval_choice, eval_similarity, spearman
 from .incremental import DegeneracyWarning, solve_noncore_word, solve_words
-from .statistics import (
-    PmiConfig,
-    PmiRows,
-    pmi_block,
-    unigram_probs,
-    weight_normalizer,
-    weight_transform,
-)
+from .statistics import PmiConfig, PmiRows, pmi_block, unigram_probs, weight_transform

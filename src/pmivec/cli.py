@@ -40,7 +40,7 @@ from .evaluation import (
 )
 from .incremental import solve_words
 from .ioutil import atomic_write
-from .statistics import PmiConfig, PmiRows, pmi_block, weight_normalizer
+from .statistics import PmiConfig, PmiRows, pmi_block
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -214,11 +214,9 @@ def cmd_factorize_noncore(args) -> None:
         )
     core_vectors = base.vectors[:core_size][kept_rows]
 
-    # weights must share the scale fixed by the core solve, so recover the
-    # same block normalizer from the counts
-    cfg = _pmi_config(args)
-    block_range = range(0, min(core_size, len(vocab)))
-    rows_of = PmiRows(cols, table, cfg, weight_normalizer(block_range, table, cfg))
+    # weights share the scale of the block of the regression columns, the
+    # normalizer factorize-core found for those words
+    rows_of = PmiRows(cols, table, _pmi_config(args), normalizer=None)
 
     have = set(base.words)
     new_indices = [i for i, w in enumerate(vocab.words) if w not in have][: args.count]
@@ -266,10 +264,13 @@ def cmd_evaluate(args) -> None:
     testset_dir = Path(args.testset_dir)
     if not testset_dir.is_dir():
         raise FileNotFoundError(f"testset directory not found: {testset_dir}")
-    reports = []
+    reports, seen = [], {}
     for pattern, loader, scorer in _TESTSET_KINDS:
         for path in sorted(testset_dir.glob(pattern)):
             name = path.name.split(".")[0]
+            if name in seen:
+                raise ValueError(f"testsets {seen[name]} and {path} share the name {name!r}")
+            seen[name] = path
             reports.append(scorer(emb, loader(path), name=name))
     if not reports:
         raise ValueError(f"no testsets found in {testset_dir}")
@@ -359,12 +360,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
+    except np.linalg.LinAlgError as exc:  # a ValueError, so it goes first
+        print(f"pmivec: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (OSError, ValueError) as exc:
         print(f"pmivec: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except np.linalg.LinAlgError as exc:
-        print(f"pmivec: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     return EXIT_OK
 
 

@@ -9,8 +9,8 @@ a block-Krylov space started from the first d + 16 columns, then from the last
 sweep's Ritz vectors.  Each sweep can only lower the weighted residual (the
 previous iterate stays feasible), so the solve needs no step size or randomness.
 
-Dense memory, for an n-word block: the caller's target and weights, used as
-they are when the target is exactly symmetric (else one averaged copy), plus
+Dense memory, for an n-word block: the caller's target and weights, each used
+as it is when it is exactly symmetric (else one averaged copy), plus
 two n x n arrays of the solve: the iterate, whose buffer also holds the
 Krylov basis between the imputation and ``F F^T``, and the work block (the
 imputed block, then the residual terms).  The Rayleigh-Ritz matrix is at most
@@ -166,6 +166,11 @@ def _ritz_psd_factor(sym, start, steps: int, dim: int, space) -> tuple[np.ndarra
     return _psd_factor(evals[-dim:], basis @ evecs[:, -dim:], dim)  # eigh sorts ascending
 
 
+def _symmetric(a: np.ndarray) -> np.ndarray:
+    """``(a + a.T) / 2``, which is ``a`` bit for bit when ``a`` is exactly symmetric."""
+    return a if np.array_equal(a, a.T) else (a + a.T) / 2.0
+
+
 def em_factorize(
     target: np.ndarray, weights: np.ndarray, cfg: CoreSolveConfig
 ) -> tuple[np.ndarray, SolveDiagnostics]:
@@ -174,8 +179,11 @@ def em_factorize(
     Starts from the zero matrix, which makes runs reproducible.  The target
     must be finite and the weights must lie in [0, 1] (use a normalized
     weight block); the imputation step is a descent step only under that
-    scaling.  Returns the (n, dim) factor whose rows are the word vectors,
-    plus per-sweep diagnostics.
+    scaling.  A target or weight block that is not exactly symmetric is
+    averaged with its transpose; the sweep needs symmetric ones, and for a
+    symmetric target the averaged weights give the same objective.  Returns
+    the (n, dim) factor whose rows are the word vectors, plus per-sweep
+    diagnostics.
     """
     target = np.asarray(target, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -191,8 +199,7 @@ def em_factorize(
         raise ValueError("weights must lie in [0, 1]")
     if not (np.isfinite(target.min()) and np.isfinite(target.max())):
         raise ValueError("target must be finite")
-    if not np.array_equal(target, target.T):  # else (target + target.T) / 2 equals it bit for bit
-        target = (target + target.T) / 2.0
+    target, weights = _symmetric(target), _symmetric(weights)
     method = "block-krylov" if n > 4 * (cfg.dim + _OVERSAMPLE) else "eigh"
 
     approx = np.zeros_like(target)

@@ -202,6 +202,8 @@ def load_similarity(path) -> SimilarityTestset:
                 score = float(parts[2])
             except ValueError:
                 raise ParseError(path, line_no, f"score {parts[2]!r} is not a number") from None
+            if not np.isfinite(score):
+                raise ParseError(path, line_no, f"score {parts[2]!r} is not finite")
             items.append((parts[0].lower(), parts[1].lower(), score))
     try:
         return SimilarityTestset(tuple(items))

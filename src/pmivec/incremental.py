@@ -22,10 +22,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .statistics import PmiRows
-
-#: Words whose PMI and weight rows are built together in ``solve_words``.
-BATCH_WORDS = 256
+from .statistics import BATCH_WORDS, PmiRows
 
 
 class DegeneracyWarning(UserWarning):

@@ -1,10 +1,10 @@
 """Smoothed pair probabilities and the PMI / fit-weight blocks built from them.
 
 One :class:`PmiConfig` (``lam``, ``alpha``, ``cap``) fixes the model, and
-unigram probabilities come from the table's vocabulary.  :func:`pmi_block`
-gives the dense core block, its weights and their normalizer;
-:class:`PmiRows` gives the rows of further words on that scale, which
-:func:`weight_normalizer` recovers from the counts alone.
+unigram probabilities come from the table's vocabulary.  :class:`PmiRows`
+builds the rows of any words against one column set, :func:`pmi_block` the
+dense block of two ranges with the weights divided by their maximum, the
+normalizer.  Growth rows share the normalizer of their columns' own block.
 
 Pair counts are symmetrized before use, so every block is exactly symmetric
 under transposition of its index ranges.  Entries with zero smoothed
@@ -24,6 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import CooccurrenceTable, Vocabulary
+
+#: Words whose PMI and weight rows are built together.
+BATCH_WORDS = 256
 
 
 @dataclass(frozen=True)
@@ -52,15 +55,8 @@ def unigram_probs(vocab: Vocabulary) -> np.ndarray:
 
 
 def weight_transform(p, cfg: PmiConfig):
-    """Monotone non-decreasing map from probability to raw fit weight.
-
-    The division by the block maximum is left to the block builders, which
-    know that maximum.
-    """
-    p = np.asarray(p, dtype=float)
-    if cfg.cap is not None:
-        p = np.minimum(p, cfg.cap)
-    return p**cfg.alpha
+    """Monotone non-decreasing map from probability to fit weight, before the normalizer."""
+    return _fit_weights(np.array(p, dtype=float), cfg)
 
 
 def _check_range(r: range, n: int, label: str) -> None:
@@ -81,12 +77,18 @@ def _smoothed(counts: np.ndarray, indep: np.ndarray, total_pairs: int,
 
 
 def _fit_weights(p: np.ndarray, cfg: PmiConfig) -> np.ndarray:
-    """:func:`weight_transform` written over the probabilities.  They are
+    """``min(p, cap) ** alpha`` written over the probabilities.  They are
     never negative, so entries without probability mass get weight 0."""
     if cfg.cap is not None:
         np.minimum(p, cfg.cap, out=p)
     p **= cfg.alpha  # the operator, not np.power: it has the sqrt fast path of ``p**alpha``
     return p
+
+
+def _largest_weight(blocks) -> float:
+    """The largest weight in the arrays ``blocks``, or 1.0 when none is positive."""
+    peak = max((float(w.max(initial=0.0)) for w in blocks), default=0.0)
+    return peak if peak > 0.0 else 1.0
 
 
 def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,15 +108,17 @@ class PmiRows:
     of column positions, and the reverse counts c(j, i) from the column
     words' own rows, transposed once here.  A call then costs the nonzeros
     of the requested rows plus one dense row per word.  ``normalizer``
-    divides the weights (the core block's, so rows share its scale).
+    divides the weights; ``None`` takes the largest weight of the ``cols`` x
+    ``cols`` block, built ``BATCH_WORDS`` rows at a time by this same call.
+    That equals ``pmi_block``'s normalizer for those words bit for bit.
     """
 
-    def __init__(self, cols, table: CooccurrenceTable, cfg: PmiConfig, normalizer: float = 1.0):
+    def __init__(self, cols, table: CooccurrenceTable, cfg: PmiConfig, normalizer: float | None = 1.0):
         if table.total_pairs == 0:
             raise ValueError("table holds no pairs")
         n = len(table.vocab)
         self.cols = np.asarray(cols, dtype=np.int64)
-        self.table, self.cfg, self.normalizer = table, cfg, normalizer
+        self.table, self.cfg, self.normalizer = table, cfg, 1.0
         self.probs = unigram_probs(table.vocab)
         self.col_pos = np.full(n, -1, dtype=np.int64)
         self.col_pos[self.cols] = np.arange(len(self.cols))
@@ -125,6 +129,12 @@ class PmiRows:
         np.cumsum(np.bincount(ctx, minlength=n), out=self.rev_indptr[1:])
         self.rev_pos = owner[order]
         self.rev_counts = table.counts[at[order]]
+        del owner, at, ctx, order  # the column rows' entries: free them before the batches
+        if normalizer is None:
+            normalizer = _largest_weight(
+                self(self.cols[k:k + BATCH_WORDS])[1] for k in range(0, len(self.cols), BATCH_WORDS)
+            )
+        self.normalizer = normalizer
 
     def _gather(self, rows) -> np.ndarray:
         """Symmetrized counts, one row per word of ``rows``, as floats."""
@@ -149,8 +159,7 @@ class PmiRows:
         np.divide(p, pmi, out=pmi)  # p is 0 off the mask and the products never are
         np.log(pmi, out=pmi, where=mask)
         weights = _fit_weights(p, self.cfg)
-        if self.normalizer != 1.0:
-            weights /= self.normalizer
+        weights /= self.normalizer  # exact when it is 1.0
         return pmi, weights
 
 
@@ -167,43 +176,6 @@ def pmi_block(
     _check_range(row_range, n, "row range")
     _check_range(col_range, n, "col range")
     pmi, weights = PmiRows(col_range, table, cfg)(row_range)
-    peak = float(weights.max(initial=0.0))
-    normalizer = peak if peak > 0.0 else 1.0
+    normalizer = _largest_weight([weights])
     weights /= normalizer
     return pmi, weights, normalizer
-
-
-def weight_normalizer(core: range, table: CooccurrenceTable, cfg: PmiConfig) -> float:
-    """The normalizer ``pmi_block(core, core, ...)`` returns, in O(nnz).
-
-    The transform is monotone, so the block maximum is the larger of the
-    weights of the observed pairs and the largest weight of an unobserved
-    pair, lam * P(m)^2 for the most probable core word m.  When (m, m) is
-    observed its probability is at least that, so the result is the same.
-    Every value goes through the block's own arithmetic, so the result
-    equals the dense maximum exactly.
-    """
-    n = len(table.vocab)
-    _check_range(core, n, "core range")
-    if table.total_pairs == 0:
-        raise ValueError("table holds no pairs")
-    lo, hi = table.indptr[core.start], table.indptr[core.stop]
-    i = np.repeat(np.arange(core.start, core.stop), np.diff(table.indptr[core.start : core.stop + 1]))
-    j = table.indices[lo:hi].astype(np.int64)
-    inside = (j >= core.start) & (j < core.stop)
-    i, j, counts = i[inside], j[inside], table.counts[lo:hi][inside].astype(np.int64)
-    counts[i == j] *= 2  # a diagonal pair is its own transpose
-    # symmetrized count of each observed unordered pair {i, j}
-    keys = np.minimum(i, j) * n + np.maximum(i, j)
-    order = np.argsort(keys)
-    keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]) if keys.size else keys
-    summed = np.add.reduceat(counts[order], starts) if keys.size else counts
-    keys = keys[starts]
-    probs = unigram_probs(table.vocab)
-    top = float(probs[core.start : core.stop].max())
-    # every observed pair, then the unobserved (m, m) candidate with count 0
-    indep = np.append(probs[keys // n] * probs[keys % n], top * top)
-    p = _smoothed(np.append(summed, 0).astype(float), indep, table.total_pairs, cfg)
-    peak = float(_fit_weights(p, cfg).max(initial=0.0))
-    return peak if peak > 0.0 else 1.0

@@ -15,7 +15,7 @@ from pmivec.corpus import companion_path, count_unigrams, load_bigrams, load_uni
 from pmivec.embeddings import EmbeddingSet, load_vec, save_vec
 from pmivec.incremental import solve_words
 from pmivec.ioutil import atomic_write
-from pmivec.statistics import PmiConfig, PmiRows, weight_normalizer
+from pmivec.statistics import PmiConfig, PmiRows
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -251,6 +251,22 @@ class TestFactorizeCore:
         assert f"uni.txt:{bad_line}:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_solver_failure_is_numerical_error(self, small_pipeline, tmp_path, monkeypatch,
+                                               capsys):
+        def diverge(target, weights, cfg):
+            raise np.linalg.LinAlgError("eigendecomposition did not converge")
+
+        monkeypatch.setattr("pmivec.cli.em_factorize", diverge)
+        out = tmp_path / "core.vec"
+        code = main([
+            "factorize-core", "--bigrams", str(small_pipeline["bigrams"]),
+            "--unigrams", str(small_pipeline["unigrams"]),
+            "--core-size", "10", "--dim", "4", "--out", str(out),
+        ])
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_write_failure_is_data_error(self, small_pipeline, tmp_path, monkeypatch, capsys):
         def full_disk(emb, path):
             raise OSError(errno.ENOSPC, "No space left on device", str(path))
@@ -312,8 +328,7 @@ class TestFactorizeNoncore:
         # one direct solve per group against the stored core vectors
         vocab = load_unigrams(small_pipeline["unigrams"])
         table = load_bigrams(small_pipeline["bigrams"], vocab)
-        cfg = PmiConfig()
-        rows_of = PmiRows(np.arange(10), table, cfg, weight_normalizer(range(10), table, cfg))
+        rows_of = PmiRows(np.arange(10), table, PmiConfig(), normalizer=None)
         base = load_vec(core)
         assert base.words == vocab.words[:10]
         chunks = [base.vectors]
@@ -444,6 +459,18 @@ class TestEvaluate:
                      "--out", str(tmp_path / "r.txt")])
         assert code == 2
         assert "no testsets" in capsys.readouterr().err
+
+    def test_duplicate_testset_names_are_data_error(self, eval_setup, tmp_path, capsys):
+        # one report key per testset name: pairs.sim.tsv and pairs.ana.txt would share "pairs."
+        vec, tdir = eval_setup
+        (tdir / "pairs.ana.txt").write_text("wa wb wc wd\n")
+        out = tmp_path / "report.txt"
+        code = main(["evaluate", "--vec", str(vec), "--testset-dir", str(tdir),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "pairs.sim.tsv" in err and "pairs.ana.txt" in err
+        assert not out.exists()
 
     def test_oversized_header_is_data_error(self, eval_setup, tmp_path, capsys):
         _, tdir = eval_setup

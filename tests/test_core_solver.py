@@ -191,6 +191,19 @@ class TestEmFactorize:
         oracle_residual = weighted_frobenius(g, oracle_x, w)
         assert diag.residuals[-1] <= oracle_residual + 1e-6
 
+    @pytest.mark.parametrize("n", [100, 300], ids=["eigh", "block-krylov"])
+    def test_asymmetric_weights_are_averaged(self, n):
+        # the sweep needs symmetric weights; with a symmetric iterate
+        # (W + W^T) / 2 describes the same objective as W
+        rng = np.random.default_rng(0)
+        g = random_instance(rng, n, 10)[0]
+        w = rng.uniform(0.0, 1.0, size=(n, n))
+        cfg = CoreSolveConfig(10, max_iters=40, tol=1e-14)
+        factor, diag = em_factorize(g, w, cfg)
+        assert diag.method == ("eigh" if n == 100 else "block-krylov")
+        assert all(b <= a for a, b in zip(diag.residuals, diag.residuals[1:]))
+        assert factor.tobytes() == em_factorize(g, (w + w.T) / 2.0, cfg)[0].tobytes()
+
     @pytest.mark.parametrize("n", [30, 70], ids=["eigh", "block-krylov"])
     def test_non_finite_target_rejected(self, n):
         for bad in (np.nan, np.inf):

@@ -288,6 +288,13 @@ class TestLoaders:
         with pytest.raises(ParseError, match=r"t.sim.tsv:1"):
             load_similarity(path)
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_similarity_non_finite_score(self, tmp_path, score):
+        path = tmp_path / "t.sim.tsv"
+        path.write_text(f"a\tb\t1.0\nc\td\t2.0\ne\tf\t{score}\ng\th\t4.0\n")
+        with pytest.raises(ParseError, match=r"t.sim.tsv:3: .* is not finite"):
+            load_similarity(path)
+
     def test_similarity_too_few_items(self, tmp_path):
         path = tmp_path / "t.sim.tsv"
         path.write_text("a\tb\t1.0\n")

@@ -1,5 +1,5 @@
 """Property tests for tokenizing, pair counting, the bigram file's binary
-companion, the O(nnz) weight normalizer and the ``.vec`` parser.
+companion, the batched weight normalizer and the ``.vec`` parser.
 
 The companion is a cache: whatever state it is in (current, stale, damaged
 or missing), ``load_bigrams`` must return exactly what parsing the text
@@ -30,7 +30,7 @@ from pmivec.corpus import (
 )
 from pmivec.embeddings import EmbeddingSet, load_vec, save_vec
 from pmivec.ioutil import ParseError
-from pmivec.statistics import PmiConfig, pmi_block, weight_normalizer
+from pmivec.statistics import PmiConfig, PmiRows, pmi_block
 
 WORDS = ["aa", "bb", "cc", "dd", "ee"]
 tokens_st = st.lists(st.sampled_from(WORDS + ["oov", DOC_BREAK]), max_size=200)
@@ -218,7 +218,7 @@ def test_weight_normalizer_equals_dense_block_maximum(tokens, window, lam, alpha
     core = range(0, data.draw(st.integers(1, len(vocab)), label="core size"))
     cfg = PmiConfig(lam=lam, alpha=alpha, cap=cap)
     _, _, normalizer = pmi_block(core, core, table, cfg)
-    assert weight_normalizer(core, table, cfg) == normalizer
+    assert PmiRows(core, table, cfg, normalizer=None).normalizer == normalizer
 
 
 def per_float_load_vec(path) -> EmbeddingSet:

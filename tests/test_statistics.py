@@ -6,11 +6,11 @@ import pytest
 
 from pmivec.corpus import CooccurrenceTable, Vocabulary, count_bigrams, count_unigrams
 from pmivec.statistics import (
+    BATCH_WORDS,
     PmiConfig,
     PmiRows,
     pmi_block,
     unigram_probs,
-    weight_normalizer,
     weight_transform,
 )
 
@@ -266,7 +266,7 @@ class TestWeightNormalizer:
         for size in (1, 5, 17, len(vocab)):
             core = range(0, size)
             _, _, normalizer = pmi_block(core, core, table, cfg)
-            assert weight_normalizer(core, table, cfg) == normalizer
+            assert PmiRows(core, table, cfg, normalizer=None).normalizer == normalizer
 
     def test_unobserved_top_pair_sets_the_scale(self):
         # the most frequent word never pairs with itself, so with full
@@ -276,8 +276,33 @@ class TestWeightNormalizer:
         probs = unigram_probs(vocab)
         cfg = PmiConfig(lam=1.0, alpha=1.0)
         _, _, normalizer = pmi_block(range(3), range(3), table, cfg)
-        got = weight_normalizer(range(3), table, cfg)
+        got = PmiRows(range(3), table, cfg, normalizer=None).normalizer
         assert got == normalizer == float(probs[0] * probs[0])
+
+    def test_columns_beyond_one_batch_in_any_order(self):
+        vocab, table = zipf_table(700, 40_000, 2, seed=23)
+        core = range(0, 600)
+        assert len(vocab) >= len(core) > 2 * BATCH_WORDS
+        cfg = PmiConfig()
+        _, _, normalizer = pmi_block(core, core, table, cfg)
+        cols = np.random.default_rng(0).permutation(len(core))
+        assert PmiRows(cols, table, cfg, normalizer=None).normalizer == normalizer
+
+    def test_scale_adds_no_memory_peak(self):
+        # few frequent columns with long rows: the batches run after the
+        # reverse index is built, whose temporaries must be gone by then
+        vocab, table = zipf_table(3000, 100_000, 5, seed=24)
+
+        def peak(**kwargs):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                PmiRows(range(40), table, PmiConfig(), **kwargs)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert peak(normalizer=None) <= 1.05 * peak()
 
 
 class TestInPlaceBlock:
