@@ -151,6 +151,7 @@ def cmd_factorize_core(args) -> None:
                 "method": diag.method,
             },
             "weight_normalizer": normalizer,
+            "weight_normalizer_words": args.core_size,
         },
     )
     print(
@@ -163,12 +164,12 @@ def cmd_factorize_core(args) -> None:
 _WEIGHTING_FLAGS = tuple(f.name for f in dataclasses.fields(PmiConfig))
 
 
-def _check_weighting_matches(args) -> None:
+def _check_weighting_matches(args) -> dict:
     """Refuse flags that differ from those recorded in the manifest of
-    ``--core-vec``, when it has one."""
+    ``--core-vec``; returns that manifest, or ``{}`` when there is none."""
     manifest_path = Path(args.core_vec + ".manifest.json")
     if not manifest_path.is_file():
-        return
+        return {}
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
     recorded = manifest.get("arguments") if isinstance(manifest, dict) else None
@@ -180,11 +181,12 @@ def _check_weighting_matches(args) -> None:
                 f"{name} = {getattr(args, name)} differs from {recorded[name]}, "
                 f"recorded in {manifest_path}; every stage must use the same weighting"
             )
+    return manifest
 
 
 def cmd_factorize_noncore(args) -> None:
     started = time.perf_counter()
-    _check_weighting_matches(args)
+    manifest = _check_weighting_matches(args)
     vocab = load_unigrams(args.unigrams)
     table = load_bigrams(args.bigrams, vocab)
     base = load_vec(args.core_vec)
@@ -217,6 +219,17 @@ def cmd_factorize_noncore(args) -> None:
     # weights share the scale of the block of the regression columns, the
     # normalizer factorize-core found for those words
     rows_of = PmiRows(cols, table, _pmi_config(args), normalizer=None)
+    # a manifest's normalizer covers its .vec's leading words; with every core
+    # word found, the same number of them must give the same value
+    covered = len(cols) if len(cols) == len(core_words) else None
+    recorded = manifest.get("weight_normalizer")
+    if (covered is not None and manifest.get("weight_normalizer_words") == covered
+            and recorded is not None and recorded != rows_of.normalizer):
+        raise ValueError(
+            f"weight normalizer {rows_of.normalizer!r} of the {covered} core words differs "
+            f"from {recorded!r}, recorded in {args.core_vec}.manifest.json; these counts "
+            f"are not those the core vectors were solved on"
+        )
 
     have = set(base.words)
     new_indices = [i for i, w in enumerate(vocab.words) if w not in have][: args.count]
@@ -242,7 +255,8 @@ def cmd_factorize_noncore(args) -> None:
     _write_manifest(
         args.out, "factorize-noncore", args, started,
         [args.bigrams, args.unigrams, args.core_vec], [args.out],
-        extra={"report": report},
+        extra={"report": report, "weight_normalizer": rows_of.normalizer,
+               "weight_normalizer_words": covered},
     )
     print(
         f"solved {len(new_indices)} words (mu={args.mu:g}, "

@@ -10,11 +10,11 @@ sweep's Ritz vectors.  Each sweep can only lower the weighted residual (the
 previous iterate stays feasible), so the solve needs no step size or randomness.
 
 Dense memory, for an n-word block: the caller's target and weights, each used
-as it is when it is exactly symmetric (else one averaged copy), plus
-two n x n arrays of the solve: the iterate, whose buffer also holds the
-Krylov basis between the imputation and ``F F^T``, and the work block (the
-imputed block, then the residual terms).  The Rayleigh-Ritz matrix is at most
-min(n, 9(d + 16)) square and is built one block of columns at a time.
+as it is when it is exactly symmetric (else one averaged copy), plus two n x n
+arrays of the solve: the iterate, whose buffer also holds the Krylov basis
+between the imputation and ``F F^T``, and the work block (the imputed block,
+then the residual terms).  The Rayleigh-Ritz matrix, at most min(n, 9(d + 16))
+square, is filled from the Gram-Schmidt coefficients of the Krylov blocks.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ class CoreSolveConfig:
 
 #: Oversampling of the first Krylov block, and block steps of the first and later sweeps.
 _OVERSAMPLE, _FIRST_STEPS, _WARM_STEPS = 16, 8, 2
-#: Singular values of a projected Krylov block below this fraction of its
-#: longest column before projection lie in the space so far.
-_DEFLATE = 1e-10
+#: Singular values of a projected Krylov block below this fraction of its longest
+#: column before projection lie in the space so far (the Gram matrix rounds at ~1e-8).
+_DEFLATE = 1e-6
 
 
 @dataclass
@@ -110,60 +110,60 @@ def _psd_factor(evals, evecs, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return basis * np.sqrt(lam), basis
 
 
-def _append_block(space, k: int, block, floor: float) -> int:
+def _append_block(space, k: int, block, floor: float, coef=None) -> int:
     """Orthonormalize ``block`` against ``space[:, :k]`` into the next columns
     of ``space``; returns how many columns it adds.
 
-    Classical Gram-Schmidt runs twice.  Between the runs, the SVD of the
-    projected block keeps only its directions above ``floor``: the rest lies
-    in the space already, as rounding noise or exact zeros, and QR would turn
-    it into directions that are not orthogonal to the space.  The second run
-    removes what the first left, magnified by small singular values; the
-    block is then orthonormal but for that tiny change, so a Cholesky QR
-    (``B L^-T`` with ``L L^T = B^T B``) restores it at matrix-product cost.
+    Classical Gram-Schmidt runs twice; ``coef`` receives the first run's
+    coefficients.  Between the runs, SVQB (an ``eigh`` of the projected block's
+    Gram matrix) keeps the directions whose singular value is above ``floor``;
+    the rest lies in the space already, as rounding noise or exact zeros.  The
+    second run removes what the first left, and a Cholesky QR (``B L^-T`` with
+    ``L L^T = B^T B``) restores orthonormality at matrix-product cost.
     """
-    block -= space[:, :k] @ (space[:, :k].T @ block)
-    u, sv, _ = np.linalg.svd(block, full_matrices=False)
-    new = min(int(np.count_nonzero(sv > floor)), space.shape[0] - k)
+    coef = np.matmul(space[:, :k].T, block, out=coef)
+    block -= space[:, :k] @ coef
+    evals, evecs = np.linalg.eigh(block.T @ block)  # squared singular values, ascending
+    new = min(int(np.count_nonzero(evals > floor * floor)), space.shape[0] - k)
     if new:
-        block = u[:, :new]
+        block = block @ (evecs[:, -new:] / np.sqrt(evals[-new:]))
         block -= space[:, :k] @ (space[:, :k].T @ block)
         space[:, k:k + new] = block @ np.linalg.inv(np.linalg.cholesky(block.T @ block).T)
     return new
 
 
-def _ritz_psd_factor(sym, start, steps: int, dim: int, space) -> tuple[np.ndarray, np.ndarray]:
+def _ritz_psd_factor(sym, start, steps: int, dim: int, space, orthonormal=False) -> tuple[np.ndarray, np.ndarray]:
     """``_psd_factor`` of the Rayleigh-Ritz pairs of ``sym`` on the space
     ``[start, sym start, ..., sym^steps start]``.
 
     The orthonormal basis is written into the columns of ``space``, an n x n
     scratch array, so it never has more than n columns.  The first block is
-    orthonormalized by QR, each later one by :func:`_append_block`.  When
-    ``sym`` maps the space into itself (an exactly low-rank, diagonal or
-    block-diagonal ``sym`` can), the next block is the unit vectors of the
-    words the space covers least, so a solve does not stay in the part of
-    the block that its first columns reach.
+    orthonormalized by QR unless it is ``orthonormal``, each later one by
+    :func:`_append_block`, whose coefficients ``Q^T (sym Q_j)`` are block column
+    j of the Ritz matrix: ``sym`` multiplies each basis column once.  When ``sym``
+    maps the space into itself (an exactly low-rank, diagonal or block-diagonal
+    ``sym`` can), the next block is the unit vectors of the words the space
+    covers least, so a solve does not stay where its first columns reach.
     """
     n, b = start.shape
-    space[:, :b] = np.linalg.qr(start)[0]
+    space[:, :b] = start if orthonormal else np.linalg.qr(start)[0]
+    ritz = np.empty((min(n, b * (steps + 1)),) * 2)  # eigh reads the upper triangle only
     lo, k = 0, b  # the last block is space[:, lo:k]
     for _ in range(steps):
         block = sym @ space[:, lo:k]
-        new = _append_block(space, k, block, _DEFLATE * np.linalg.norm(block, axis=0).max())
+        new = _append_block(space, k, block, _DEFLATE * np.linalg.norm(block, axis=0).max(), ritz[:k, lo:k])
         if new == 0 and k < n:
-            cover = np.einsum("ij,ij->i", space[:, :k], space[:, :k])
-            block = np.zeros((n, min(b, n - k)))
-            block[np.argsort(cover, kind="stable")[:block.shape[1]], np.arange(block.shape[1])] = 1.0
-            new = _append_block(space, k, block, _DEFLATE)
+            least = np.argsort(np.einsum("ij,ij->i", space[:, :k], space[:, :k]), kind="stable")[:min(b, n - k)]
+            new = _append_block(space, k, (np.arange(n)[:, None] == least) * 1.0, _DEFLATE)
         if new == 0:
             break
         lo, k = k, k + new
-    basis = space[:, :k]
-    ritz = np.empty((k, k))
-    for j in range(0, k, b):  # eigh reads the lower triangle only
-        ritz[j:, j:j + b] = basis[:, j:].T @ (sym @ basis[:, j:j + b])
-    evals, evecs = np.linalg.eigh(ritz)
-    return _psd_factor(evals[-dim:], basis @ evecs[:, -dim:], dim)  # eigh sorts ascending
+    else:  # the last block's product is the only one the loop did not make
+        block = sym @ space[:, lo:k]
+        np.matmul(space[:, :k].T, block, out=ritz[:k, lo:k])
+    del block  # free it before the eigh, the sweep's memory peak
+    evals, evecs = np.linalg.eigh(ritz[:k, :k], UPLO="U")
+    return _psd_factor(evals[-dim:], space[:, :k] @ evecs[:, -dim:], dim)  # eigh sorts ascending
 
 
 def _symmetric(a: np.ndarray) -> np.ndarray:
@@ -224,7 +224,7 @@ def em_factorize(
         else:  # the first sweep starts from the most frequent words' columns; the
             # Krylov basis lives in the iterate's buffer, idle until F F^T overwrites it
             start, steps = (basis, _WARM_STEPS) if iterations else (work[:, :cfg.dim + _OVERSAMPLE], _FIRST_STEPS)
-            factor, basis = _ritz_psd_factor(work, start, steps, cfg.dim, approx)
+            factor, basis = _ritz_psd_factor(work, start, steps, cfg.dim, approx, bool(iterations))
             np.matmul(factor, factor.T, out=approx)
         residuals.append(residual())
         iterations += 1

@@ -109,8 +109,9 @@ class PmiRows:
     words' own rows, transposed once here.  A call then costs the nonzeros
     of the requested rows plus one dense row per word.  ``normalizer``
     divides the weights; ``None`` takes the largest weight of the ``cols`` x
-    ``cols`` block, built ``BATCH_WORDS`` rows at a time by this same call.
-    That equals ``pmi_block``'s normalizer for those words bit for bit.
+    ``cols`` block, whose weights are built ``BATCH_WORDS`` rows at a time by
+    the same steps as this call's, without the PMI.  That equals
+    ``pmi_block``'s normalizer for those words bit for bit.
     """
 
     def __init__(self, cols, table: CooccurrenceTable, cfg: PmiConfig, normalizer: float | None = 1.0):
@@ -130,9 +131,10 @@ class PmiRows:
         self.rev_pos = owner[order]
         self.rev_counts = table.counts[at[order]]
         del owner, at, ctx, order  # the column rows' entries: free them before the batches
-        if normalizer is None:
+        if normalizer is None:  # the weights alone: no PMI is computed for the scale
             normalizer = _largest_weight(
-                self(self.cols[k:k + BATCH_WORDS])[1] for k in range(0, len(self.cols), BATCH_WORDS)
+                _fit_weights(self._smoothed_rows(self.cols[k:k + BATCH_WORDS])[0], cfg)
+                for k in range(0, len(self.cols), BATCH_WORDS)
             )
         self.normalizer = normalizer
 
@@ -148,13 +150,18 @@ class PmiRows:
         out[owner, self.rev_pos[at]] += self.rev_counts[at]
         return out
 
+    def _smoothed_rows(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """Smoothed pair probabilities of the words ``rows``, written over
+        their gathered counts, and the unigram products they were smoothed with."""
+        indep = np.outer(self.probs[np.asarray(rows, dtype=np.int64)], self.probs[self.cols])
+        return _smoothed(self._gather(rows), indep, self.table.total_pairs, self.cfg), indep
+
     def __call__(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """PMI and weight rows of the words ``rows``; unseen pairs keep
         weight 0 under lam = 0."""
         # two dense buffers: the counts become p, then the weights; the
         # unigram products become p / indep, then the PMI
-        pmi = np.outer(self.probs[np.asarray(rows, dtype=np.int64)], self.probs[self.cols])
-        p = _smoothed(self._gather(rows), pmi, self.table.total_pairs, self.cfg)
+        p, pmi = self._smoothed_rows(rows)
         mask = p > 0.0
         np.divide(p, pmi, out=pmi)  # p is 0 off the mask and the products never are
         np.log(pmi, out=pmi, where=mask)

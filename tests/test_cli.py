@@ -400,6 +400,32 @@ class TestFactorizeNoncore:
         assert "alpha" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_counts_other_than_the_core_solve_are_data_error(self, small_pipeline, tmp_path, capsys):
+        # same corpus and vocabulary, window 5 instead of the core's window 2
+        bi5 = tmp_path / "bigrams5.txt"
+        assert main(["count-bigrams", "--input", str(small_pipeline["corpus"]),
+                     "--unigrams", str(small_pipeline["unigrams"]), "--window", "5",
+                     "--out", str(bi5)]) == 0
+        uni = ["--unigrams", str(small_pipeline["unigrams"])]
+        core, out = tmp_path / "core.vec", tmp_path / "grown.vec"
+        assert main(["factorize-core", "--bigrams", str(small_pipeline["bigrams"]), *uni,
+                     "--core-size", "10", "--dim", "4", "--out", str(core)]) == 0
+        recorded = read_manifest(core)["weight_normalizer"]
+        assert read_manifest(core)["weight_normalizer_words"] == 10
+        capsys.readouterr()
+        code = main(["factorize-noncore", "--bigrams", str(bi5), *uni, "--core-vec", str(core),
+                     "--count", "4", "--mu", "1.0", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        vocab = load_unigrams(small_pipeline["unigrams"])
+        found = PmiRows(np.arange(10), load_bigrams(bi5, vocab), PmiConfig(), normalizer=None).normalizer
+        assert found != recorded
+        assert repr(recorded) in err and repr(found) in err
+        assert not out.exists()
+        # a growth call that regresses on fewer words has another scale by design
+        assert main(["factorize-noncore", "--bigrams", str(bi5), *uni, "--core-vec", str(core),
+                     "--core-size", "8", "--count", "4", "--mu", "1.0", "--out", str(out)]) == 0
+
     def test_growth_chain_with_matching_flags(self, small_pipeline, tmp_path, capsys):
         flags = ["--lambda", "0.2", "--alpha", "0.75", "--cap", "0.01"]
         data = ["--bigrams", str(small_pipeline["bigrams"]),
@@ -412,6 +438,11 @@ class TestFactorizeNoncore:
         assert main(["factorize-noncore", *data, "--core-vec", str(stage1), "--core-size", "10",
                      "--count", "5", "--mu", "2.0", *flags, "--out", str(stage2)]) == 0
         assert len(load_vec(stage2)) == 20
+        # each stage records the normalizer of its regression columns, and the
+        # chain recomputes the same value
+        normalizers = {read_manifest(path)["weight_normalizer"] for path in (core, stage1, stage2)}
+        assert len(normalizers) == 1
+        assert read_manifest(stage2)["weight_normalizer_words"] == 10
         # the chain's manifests carry the flags on: dropping --cap is refused
         code = main(["factorize-noncore", *data, "--core-vec", str(stage2), "--core-size", "10",
                      "--count", "5", "--mu", "2.0", *flags[:4], "--out", str(tmp_path / "s3.vec")])

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from pmivec.core_solver import (
+    _DEFLATE,
     CoreSolveConfig,
+    _append_block,
     _ritz_psd_factor,
     em_factorize,
     psd_truncate,
@@ -293,6 +295,24 @@ class TestBlockKrylov:
         _, ritz = _ritz_psd_factor(g, g[:, :dim + 16], 8, dim, np.empty((n, n)))
         np.testing.assert_allclose(ritz.T @ ritz, np.eye(dim), rtol=0, atol=1e-12)
 
+    def test_each_basis_column_multiplied_once(self):
+        # the Ritz matrix comes from the Gram-Schmidt coefficients of the
+        # recurrence, so after it only the last block is multiplied
+        class CountingSym:
+            def __init__(self, a):
+                self.a, self.columns = a, 0
+
+            def __matmul__(self, x):
+                self.columns += x.shape[1]
+                return self.a @ x
+
+        n, d, steps = 600, 20, 8
+        g = random_instance(np.random.default_rng(17), n, d)[0]
+        sym, b = CountingSym(g), d + 16
+        _, ritz = _ritz_psd_factor(sym, g[:, :b], steps, d, np.empty((n, n)))
+        assert sym.columns == b * (steps + 1)
+        np.testing.assert_allclose(ritz.T @ ritz, np.eye(d), rtol=0, atol=1e-12)
+
     def test_memory_budget(self):
         # beyond its inputs the solve holds the iterate and the work block,
         # whose Krylov basis and Ritz matrix add well under one n x n array
@@ -307,6 +327,62 @@ class TestBlockKrylov:
             tracemalloc.stop()
         assert diag.method == "block-krylov"
         assert peak / (8 * n * n) <= 3.25
+
+
+class TestAppendBlock:
+    """Orthonormalizing a Krylov block against the basis so far, at the deflation floor."""
+
+    n, k, width = 200, 30, 6
+
+    def make(self, rng, unit=False):
+        space = np.zeros((self.n, self.n))
+        space[:, :self.k] = np.eye(self.n)[:, :self.k] if unit else np.linalg.qr(
+            rng.normal(size=(self.n, self.k)))[0]
+        return space, space[:, :self.k] @ rng.normal(size=(self.k, self.width))
+
+    def append(self, space, block):
+        floor = _DEFLATE * np.linalg.norm(block, axis=0).max()
+        return _append_block(space, self.k, block, floor)
+
+    @staticmethod
+    def outside(rng, space, k):
+        """A unit vector orthogonal to ``space[:, :k]``."""
+        u = rng.normal(size=space.shape[0])
+        u -= space[:, :k] @ (space[:, :k].T @ u)
+        u -= space[:, :k] @ (space[:, :k].T @ u)
+        return u / np.linalg.norm(u)
+
+    @pytest.mark.parametrize("kind", ["noise", "exact-zeros", "zero-block"])
+    def test_block_in_the_space_adds_nothing(self, kind):
+        rng = np.random.default_rng(18)
+        space, block = self.make(rng, unit=kind == "exact-zeros")
+        if kind == "noise":  # each column leaves the space by 1e-13 of its norm
+            noise = rng.normal(size=block.shape)
+            block += 1e-13 * noise * np.linalg.norm(block, axis=0) / np.linalg.norm(noise, axis=0)
+        elif kind == "zero-block":
+            block[:] = 0.0
+        before = space.copy()
+        assert self.append(space, block) == 0
+        np.testing.assert_array_equal(space, before)
+
+    def test_one_new_direction_beside_noise(self):
+        # every column leaves the space along one direction; the Gram matrix
+        # rounds at about 1e-8 of its norm, and that must not pass as more directions
+        rng = np.random.default_rng(19)
+        space, block = self.make(rng)
+        block += 1e-13 * rng.normal(size=block.shape)
+        block += np.outer(self.outside(rng, space, self.k), rng.normal(size=self.width))
+        assert self.append(space, block) == 1
+
+    def test_small_component_outside_is_kept(self):
+        rng = np.random.default_rng(20)
+        space, block = self.make(rng)
+        u = self.outside(rng, space, self.k)
+        block[:, 2] += 1e-4 * np.linalg.norm(block[:, 2]) * u
+        assert self.append(space, block) == 1
+        basis = space[:, :self.k + 1]
+        np.testing.assert_allclose(basis.T @ basis, np.eye(self.k + 1), rtol=0, atol=1e-12)
+        assert abs(abs(u @ basis[:, -1]) - 1.0) < 1e-10
 
 
 class TestConfigValidation:
