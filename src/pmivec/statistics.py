@@ -131,7 +131,7 @@ class PmiRows:
         self.rev_pos = owner[order]
         self.rev_counts = table.counts[at[order]]
         del owner, at, ctx, order  # the column rows' entries: free them before the batches
-        if normalizer is None:  # the weights alone: no PMI is computed for the scale
+        if normalizer is None:
             normalizer = _largest_weight(
                 _fit_weights(self._smoothed_rows(self.cols[k:k + BATCH_WORDS])[0], cfg)
                 for k in range(0, len(self.cols), BATCH_WORDS)
