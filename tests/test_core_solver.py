@@ -344,12 +344,11 @@ class TestAppendBlock:
         floor = _DEFLATE * np.linalg.norm(block, axis=0).max()
         return _append_block(space, self.k, block, floor)
 
-    @staticmethod
-    def outside(rng, space, k):
-        """A unit vector orthogonal to ``space[:, :k]``."""
-        u = rng.normal(size=space.shape[0])
-        u -= space[:, :k] @ (space[:, :k].T @ u)
-        u -= space[:, :k] @ (space[:, :k].T @ u)
+    def outside(self, rng, space):
+        """A unit vector orthogonal to the basis so far."""
+        u = rng.normal(size=self.n)
+        for _ in range(2):
+            u -= space[:, :self.k] @ (space[:, :self.k].T @ u)
         return u / np.linalg.norm(u)
 
     @pytest.mark.parametrize("kind", ["noise", "exact-zeros", "zero-block"])
@@ -371,13 +370,13 @@ class TestAppendBlock:
         rng = np.random.default_rng(19)
         space, block = self.make(rng)
         block += 1e-13 * rng.normal(size=block.shape)
-        block += np.outer(self.outside(rng, space, self.k), rng.normal(size=self.width))
+        block += np.outer(self.outside(rng, space), rng.normal(size=self.width))
         assert self.append(space, block) == 1
 
     def test_small_component_outside_is_kept(self):
         rng = np.random.default_rng(20)
         space, block = self.make(rng)
-        u = self.outside(rng, space, self.k)
+        u = self.outside(rng, space)
         block[:, 2] += 1e-4 * np.linalg.norm(block[:, 2]) * u
         assert self.append(space, block) == 1
         basis = space[:, :self.k + 1]
