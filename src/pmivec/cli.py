@@ -3,6 +3,8 @@
 Exit codes: 0 success, 1 usage error, 2 data or I/O error, 3 numerical failure.
 Every subcommand writes its output atomically and drops a JSON manifest
 (`<out>.manifest.json`) recording the resolved configuration and wall time.
+`factorize-core` alone takes the weighting flags; `factorize-noncore` takes
+the weighting recorded in the manifest of the vectors it extends.
 """
 
 from __future__ import annotations
@@ -100,10 +102,6 @@ def _write_manifest(out_path: str, subcommand: str, args: argparse.Namespace,
         fh.write("\n")
 
 
-def _pmi_config(args) -> PmiConfig:
-    return PmiConfig(lam=args.lam, alpha=args.alpha, cap=args.cap)
-
-
 def cmd_count_unigrams(args) -> None:
     started = time.perf_counter()
     with open(args.input, encoding="utf-8") as fh:
@@ -135,7 +133,8 @@ def cmd_factorize_core(args) -> None:
         )
     table = load_bigrams(args.bigrams, vocab)
     core = range(args.core_size)
-    pmi, weights, normalizer = pmi_block(core, core, table, _pmi_config(args))
+    cfg = PmiConfig(args.lam, args.alpha, args.cap)
+    pmi, weights, normalizer = pmi_block(core, core, table, cfg)
     del table  # the solve needs only the blocks: release the counts before its memory peak
     factor, diag = em_factorize(pmi, weights, CoreSolveConfig(args.dim, args.iters, args.tol))
     emb = EmbeddingSet(vocab.words[: args.core_size], factor)
@@ -160,33 +159,31 @@ def cmd_factorize_core(args) -> None:
     )
 
 
-#: Flags that fix the weight scale; every stage of one growth chain must agree on them.
-_WEIGHTING_FLAGS = tuple(f.name for f in dataclasses.fields(PmiConfig))
-
-
-def _check_weighting_matches(args) -> dict:
-    """Refuse flags that differ from those recorded in the manifest of
-    ``--core-vec``; returns that manifest, or ``{}`` when there is none."""
-    manifest_path = Path(args.core_vec + ".manifest.json")
-    if not manifest_path.is_file():
-        return {}
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    recorded = manifest.get("arguments") if isinstance(manifest, dict) else None
-    if not isinstance(recorded, dict):
-        raise ValueError(f"{manifest_path} holds no 'arguments' record")
-    for name in _WEIGHTING_FLAGS:
-        if name in recorded and recorded[name] != getattr(args, name):
-            raise ValueError(
-                f"{name} = {getattr(args, name)} differs from {recorded[name]}, "
-                f"recorded in {manifest_path}; every stage must use the same weighting"
-            )
-    return manifest
+def _core_weighting(core_vec: str) -> tuple[dict, PmiConfig]:
+    """The manifest beside ``core_vec`` and the weighting it records: growth
+    extends that solve, so it has no weighting of its own.  Without a
+    manifest, ``{}`` and the defaults."""
+    path = Path(core_vec + ".manifest.json")
+    if not path.is_file():
+        print(f"warning: no {path}; growing with the default weighting {PmiConfig()}",
+              file=sys.stderr)
+        return {}, PmiConfig()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        recorded = manifest["arguments"]
+        cfg = PmiConfig(**{f.name: recorded[f.name] for f in dataclasses.fields(PmiConfig)})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{path} records no usable weighting ({type(exc).__name__}: {exc})"
+        ) from None
+    return manifest, cfg
 
 
 def cmd_factorize_noncore(args) -> None:
     started = time.perf_counter()
-    manifest = _check_weighting_matches(args)
+    manifest, cfg = _core_weighting(args.core_vec)
+    vars(args).update(dataclasses.asdict(cfg))  # recorded in this stage's manifest
     vocab = load_unigrams(args.unigrams)
     table = load_bigrams(args.bigrams, vocab)
     base = load_vec(args.core_vec)
@@ -218,7 +215,7 @@ def cmd_factorize_noncore(args) -> None:
 
     # weights share the scale of the block of the regression columns, the
     # normalizer factorize-core found for those words
-    rows_of = PmiRows(cols, table, _pmi_config(args), normalizer=None)
+    rows_of = PmiRows(cols, table, cfg, normalizer=None)
     # a manifest's normalizer covers its .vec's leading words; with every core
     # word found, the same number of them must give the same value
     covered = len(cols) if len(cols) == len(core_words) else None
@@ -298,17 +295,6 @@ def cmd_evaluate(args) -> None:
     )
 
 
-def _add_weighting_flags(p: argparse.ArgumentParser) -> None:
-    """One flag per ``PmiConfig`` field, with its default."""
-    defaults = PmiConfig()
-    p.add_argument("--lambda", dest="lam", type=_unit_float, default=defaults.lam,
-                   help=f"smoothing interpolation weight (default {defaults.lam})")
-    p.add_argument("--alpha", type=_positive_float, default=defaults.alpha,
-                   help=f"weight transform exponent (default {defaults.alpha})")
-    p.add_argument("--cap", type=_positive_float, default=defaults.cap,
-                   help="optional probability cap before the transform")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pmivec", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -335,7 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--core-size", type=_positive_int, required=True,
                    help="number of most frequent words solved jointly")
     p.add_argument("--dim", type=_positive_int, required=True, help="embedding dimension")
-    _add_weighting_flags(p)
+    defaults = PmiConfig()  # growth calls take these from the core's manifest
+    p.add_argument("--lambda", dest="lam", type=_unit_float, default=defaults.lam,
+                   help=f"smoothing interpolation weight (default {defaults.lam})")
+    p.add_argument("--alpha", type=_positive_float, default=defaults.alpha,
+                   help=f"weight transform exponent (default {defaults.alpha})")
+    p.add_argument("--cap", type=_positive_float, default=defaults.cap,
+                   help="optional probability cap before the transform")
     p.add_argument("--iters", type=_positive_int, default=20,
                    help="maximum solver sweeps (default 20)")
     p.add_argument("--tol", type=_positive_float, default=1e-4,
@@ -348,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bigrams", required=True)
     p.add_argument("--unigrams", required=True)
     p.add_argument("--core-vec", required=True,
-                   help=".vec file with the embeddings to extend")
+                   help=".vec file with the embeddings to extend; its manifest "
+                        "fixes the weighting")
     p.add_argument("--core-size", type=_positive_int, default=None,
                    help="use only the first N stored vectors as regression "
                         "targets (default: all)")
@@ -356,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="how many new words to solve, in frequency order")
     p.add_argument("--mu", type=_nonnegative_float, required=True,
                    help="ridge coefficient for this group")
-    _add_weighting_flags(p)
     p.add_argument("--out", required=True, help=".vec file to write")
     p.set_defaults(func=cmd_factorize_noncore)
 

@@ -217,11 +217,6 @@ class CooccurrenceTable:
         leading = np.repeat(np.arange(len(self.vocab)), np.diff(self.indptr))
         return zip(leading.tolist(), self.indices.tolist(), self.counts.tolist())
 
-    def pair_count(self, i: int, j: int) -> int:
-        lo, hi = int(self.indptr[i]), int(self.indptr[i + 1])
-        k = lo + int(np.searchsorted(self.indices[lo:hi], j))
-        return int(self.counts[k]) if k < hi and self.indices[k] == j else 0
-
 
 def count_bigrams(
     tokens: Iterable[str | None], vocab: Vocabulary, window: int

@@ -54,11 +54,6 @@ def unigram_probs(vocab: Vocabulary) -> np.ndarray:
     return counts / counts.sum()
 
 
-def weight_transform(p, cfg: PmiConfig):
-    """Monotone non-decreasing map from probability to fit weight, before the normalizer."""
-    return _fit_weights(np.array(p, dtype=float), cfg)
-
-
 def _check_range(r: range, n: int, label: str) -> None:
     if r.step != 1 or len(r) == 0:
         raise ValueError(f"{label} must be a nonempty step-1 range")

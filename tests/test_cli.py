@@ -25,6 +25,21 @@ def read_manifest(out_path):
     return json.loads(Path(str(out_path) + ".manifest.json").read_text())
 
 
+def direct_growth(small_pipeline, core, cfg, groups, out):
+    """Write to ``out`` the vectors of ``core``, then those of one direct
+    ``solve_words`` per (words, mu) group against them."""
+    vocab = load_unigrams(small_pipeline["unigrams"])
+    table = load_bigrams(small_pipeline["bigrams"], vocab)
+    base = load_vec(core)
+    assert base.words == vocab.words[:len(base)]
+    rows_of = PmiRows(np.arange(len(base)), table, cfg, normalizer=None)
+    chunks = [base.vectors]
+    for group, mu in groups:
+        stream = solve_words(base.vectors, rows_of, group, mu)
+        chunks.append(np.array([vec for _, vec, _ in stream]))
+    save_vec(EmbeddingSet(vocab.words[:groups[-1][0].stop], np.vstack(chunks)), out)
+
+
 class TestAtomicWrites:
     def test_failure_leaves_no_partial_output(self, tmp_path):
         target = tmp_path / "out.txt"
@@ -326,17 +341,9 @@ class TestFactorizeNoncore:
         assert main(["factorize-noncore", *data, "--core-vec", str(stage1), "--core-size", "10",
                      "--count", "8", "--mu", "4.0", "--out", str(stage2)]) == 0
         # one direct solve per group against the stored core vectors
-        vocab = load_unigrams(small_pipeline["unigrams"])
-        table = load_bigrams(small_pipeline["bigrams"], vocab)
-        rows_of = PmiRows(np.arange(10), table, PmiConfig(), normalizer=None)
-        base = load_vec(core)
-        assert base.words == vocab.words[:10]
-        chunks = [base.vectors]
-        for group, mu in ((range(10, 18), 1.0), (range(18, 26), 4.0)):
-            stream = solve_words(base.vectors, rows_of, group, mu)
-            chunks.append(np.array([vec for _, vec, _ in stream]))
         direct = tmp_path / "direct.vec"
-        save_vec(EmbeddingSet(vocab.words[:26], np.vstack(chunks)), direct)
+        groups = [(range(10, 18), 1.0), (range(18, 26), 4.0)]
+        direct_growth(small_pipeline, core, PmiConfig(), groups, direct)
         assert stage2.read_bytes() == direct.read_bytes()
 
     def test_threads_flag_is_usage_error(self, small_pipeline, tmp_path):
@@ -380,25 +387,56 @@ class TestFactorizeNoncore:
         assert "coverage" in err and "1/7" in err
         assert len(load_vec(out)) == 11
 
-    def test_weighting_mismatch_with_core_manifest_is_data_error(
-        self, small_pipeline, tmp_path, capsys
-    ):
-        core = tmp_path / "core.vec"
-        assert main([
-            "factorize-core", "--bigrams", str(small_pipeline["bigrams"]),
-            "--unigrams", str(small_pipeline["unigrams"]),
-            "--core-size", "10", "--dim", "4", "--out", str(core),
-        ]) == 0
-        out = tmp_path / "grown.vec"
-        code = main([
-            "factorize-noncore", "--bigrams", str(small_pipeline["bigrams"]),
-            "--unigrams", str(small_pipeline["unigrams"]),
-            "--core-vec", str(core), "--count", "4", "--mu", "1.0",
-            "--alpha", "1.0", "--out", str(out),
-        ])
+    @pytest.mark.parametrize("flag", ["--lambda", "--alpha", "--cap"])
+    def test_weighting_flag_is_usage_error(self, small_pipeline, tmp_path, flag):
+        # growth takes its weighting from the core's manifest
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "factorize-noncore", "--bigrams", str(small_pipeline["bigrams"]),
+                "--unigrams", str(small_pipeline["unigrams"]),
+                "--core-vec", "x.vec", "--count", "5", "--mu", "1",
+                flag, "1.0", "--out", str(tmp_path / "x.vec"),
+            ])
+        assert exc.value.code == 1
+
+    @pytest.mark.parametrize("recorded", [{"alpha": "x"}, {"lam": 2}, {"lam": None}],
+                             ids=["alpha-text", "lam-range", "lam-null"])
+    def test_unusable_recorded_weighting_is_data_error(self, small_pipeline, tmp_path, capsys,
+                                                       recorded):
+        data = ["--bigrams", str(small_pipeline["bigrams"]),
+                "--unigrams", str(small_pipeline["unigrams"])]
+        core, out = tmp_path / "core.vec", tmp_path / "grown.vec"
+        assert main(["factorize-core", *data, "--core-size", "10", "--dim", "4",
+                     "--out", str(core)]) == 0
+        manifest = read_manifest(core)
+        manifest["arguments"].update(recorded)
+        Path(str(core) + ".manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code = main(["factorize-noncore", *data, "--core-vec", str(core), "--count", "4",
+                     "--mu", "1.0", "--out", str(out)])
         assert code == 2
-        assert "alpha" in capsys.readouterr().err
+        assert "core.vec.manifest.json" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_vec_without_manifest_grows_with_defaults(self, small_pipeline, tmp_path, capsys):
+        data = ["--bigrams", str(small_pipeline["bigrams"]),
+                "--unigrams", str(small_pipeline["unigrams"])]
+        core, bare = tmp_path / "core.vec", tmp_path / "bare" / "core.vec"
+        assert main(["factorize-core", *data, "--core-size", "10", "--dim", "4",
+                     "--out", str(core)]) == 0
+        bare.parent.mkdir()
+        bare.write_bytes(core.read_bytes())
+        grown = []
+        for base in (core, bare):
+            capsys.readouterr()
+            out = base.parent / "grown.vec"
+            assert main(["factorize-noncore", *data, "--core-vec", str(base), "--count", "6",
+                         "--mu", "1.0", "--out", str(out)]) == 0
+            grown.append((out.read_bytes(), "default weighting" in capsys.readouterr().err))
+        (with_manifest, warned), (without, warned_bare) = grown
+        assert with_manifest == without and warned_bare and not warned
+        arguments = read_manifest(bare.parent / "grown.vec")["arguments"]
+        assert (arguments["lam"], arguments["alpha"], arguments["cap"]) == (0.1, 0.5, None)
 
     def test_counts_other_than_the_core_solve_are_data_error(self, small_pipeline, tmp_path, capsys):
         # same corpus and vocabulary, window 5 instead of the core's window 2
@@ -426,28 +464,26 @@ class TestFactorizeNoncore:
         assert main(["factorize-noncore", "--bigrams", str(bi5), *uni, "--core-vec", str(core),
                      "--core-size", "8", "--count", "4", "--mu", "1.0", "--out", str(out)]) == 0
 
-    def test_growth_chain_with_matching_flags(self, small_pipeline, tmp_path, capsys):
-        flags = ["--lambda", "0.2", "--alpha", "0.75", "--cap", "0.01"]
+    def test_growth_chain_takes_weighting_from_manifest(self, small_pipeline, tmp_path):
         data = ["--bigrams", str(small_pipeline["bigrams"]),
                 "--unigrams", str(small_pipeline["unigrams"])]
         core, stage1, stage2 = (tmp_path / name for name in ("core.vec", "s1.vec", "s2.vec"))
-        assert main(["factorize-core", *data, "--core-size", "10", "--dim", "4",
-                     *flags, "--out", str(core)]) == 0
+        assert main(["factorize-core", *data, "--core-size", "10", "--dim", "4", "--lambda", "0.2",
+                     "--alpha", "0.75", "--cap", "0.01", "--out", str(core)]) == 0
         assert main(["factorize-noncore", *data, "--core-vec", str(core), "--count", "5",
-                     "--mu", "1.0", *flags, "--out", str(stage1)]) == 0
+                     "--mu", "1.0", "--out", str(stage1)]) == 0
         assert main(["factorize-noncore", *data, "--core-vec", str(stage1), "--core-size", "10",
-                     "--count", "5", "--mu", "2.0", *flags, "--out", str(stage2)]) == 0
-        assert len(load_vec(stage2)) == 20
-        # each stage records the normalizer of its regression columns, and the
-        # chain recomputes the same value
-        normalizers = {read_manifest(path)["weight_normalizer"] for path in (core, stage1, stage2)}
-        assert len(normalizers) == 1
-        assert read_manifest(stage2)["weight_normalizer_words"] == 10
-        # the chain's manifests carry the flags on: dropping --cap is refused
-        code = main(["factorize-noncore", *data, "--core-vec", str(stage2), "--core-size", "10",
-                     "--count", "5", "--mu", "2.0", *flags[:4], "--out", str(tmp_path / "s3.vec")])
-        assert code == 2
-        assert "cap" in capsys.readouterr().err
+                     "--count", "5", "--mu", "2.0", "--out", str(stage2)]) == 0
+        direct = tmp_path / "direct.vec"
+        direct_growth(small_pipeline, core, PmiConfig(0.2, 0.75, 0.01),
+                      [(range(10, 15), 1.0), (range(15, 20), 2.0)], direct)
+        assert stage2.read_bytes() == direct.read_bytes()
+        # each stage records the weighting and the normalizer of its regression
+        # columns, and the chain recomputes the same values
+        recorded = {(m["arguments"]["lam"], m["arguments"]["alpha"], m["arguments"]["cap"],
+                     m["weight_normalizer"], m["weight_normalizer_words"])
+                    for m in map(read_manifest, (core, stage1, stage2))}
+        assert len(recorded) == 1 and next(iter(recorded))[:3] == (0.2, 0.75, 0.01)
 
 
 class TestEvaluate:
@@ -525,9 +561,9 @@ class TestUsageErrors:
             main(["count-unigrams", "--out", "x.txt"])
         assert exc.value.code == 1
 
-    def test_growth_help_shows_weighting_defaults(self, capsys):
+    def test_core_help_shows_weighting_defaults(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["factorize-noncore", "--help"])
+            main(["factorize-core", "--help"])
         assert exc.value.code == 0
         text = " ".join(capsys.readouterr().out.split())
         assert "(default 0.1)" in text and "(default 0.5)" in text

@@ -12,6 +12,8 @@ from pmivec.core_solver import (
     psd_truncate,
     weighted_frobenius,
 )
+from pmivec.statistics import PmiConfig, pmi_block
+from test_statistics import zipf_table
 
 
 def projected_gradient_oracle(target, weights, dim, steps=500):
@@ -37,6 +39,17 @@ def exact_em_oracle(target, weights, dim, sweeps):
         factor, approx = psd_truncate(weights * target + (1.0 - weights) * approx, dim)
         residuals.append(weighted_frobenius(target, approx, weights))
     return factor, residuals
+
+
+class CountingSym:
+    """A matrix that counts the columns it multiplies."""
+
+    def __init__(self, a):
+        self.a, self.columns = a, 0
+
+    def __matmul__(self, x):
+        self.columns += x.shape[1]
+        return self.a @ x
 
 
 def random_instance(rng, n, d, noise=0.3):
@@ -298,20 +311,37 @@ class TestBlockKrylov:
     def test_each_basis_column_multiplied_once(self):
         # the Ritz matrix comes from the Gram-Schmidt coefficients of the
         # recurrence, so after it only the last block is multiplied
-        class CountingSym:
-            def __init__(self, a):
-                self.a, self.columns = a, 0
-
-            def __matmul__(self, x):
-                self.columns += x.shape[1]
-                return self.a @ x
-
         n, d, steps = 600, 20, 8
         g = random_instance(np.random.default_rng(17), n, d)[0]
         sym, b = CountingSym(g), d + 16
         _, ritz = _ritz_psd_factor(sym, g[:, :b], steps, d, np.empty((n, n)))
         assert sym.columns == b * (steps + 1)
         np.testing.assert_allclose(ritz.T @ ritz, np.eye(d), rtol=0, atol=1e-12)
+
+    def test_counted_block_deflates_and_escapes(self, monkeypatch):
+        # a PMI block of Zipf counts: on the first sweep the Krylov blocks
+        # shrink until one adds nothing, and the unit-vector escape goes on
+        added = []
+
+        def counted(*args):
+            added.append(_append_block(*args))
+            return added[-1]
+
+        monkeypatch.setattr("pmivec.core_solver._append_block", counted)
+        _, table = zipf_table(700, 40_000, 2, seed=23)
+        n, d, steps = 600, 50, 8
+        pmi, weights, _ = pmi_block(range(n), range(n), table, PmiConfig())
+        sym, b = CountingSym(weights * pmi), d + 16  # the first sweep's imputed block
+        _, ritz = _ritz_psd_factor(sym, sym.a[:, :b], steps, d, np.empty((n, n)))
+        assert sym.columns < b * (steps + 1)
+        empty = added.index(0)  # a block with nothing new
+        assert 0 < min(added[:empty]) < b  # after blocks that deflated in part
+        assert added[empty + 1:empty + 2] > [0]  # the unit vectors of the escape add columns
+        np.testing.assert_allclose(ritz.T @ ritz, np.eye(d), rtol=0, atol=1e-12)
+        _, diag = em_factorize(pmi, weights, CoreSolveConfig(d, max_iters=5, tol=1e-14))
+        assert diag.method == "block-krylov"
+        _, exact = exact_em_oracle(pmi, weights, d, diag.iterations)
+        assert diag.residuals[-1] <= exact[-1] * 1.001
 
     def test_memory_budget(self):
         # beyond its inputs the solve holds the iterate and the work block,

@@ -11,15 +11,20 @@ from pmivec.statistics import (
     PmiRows,
     pmi_block,
     unigram_probs,
-    weight_transform,
 )
+
+
+def pair_counts(table):
+    """``{(leading index, context index): count}`` of the table's pairs."""
+    return {(i, j): count for i, j, count in table.pairs()}
 
 
 def smoothed_bigram_prob(i, j, table, probs, cfg):
     """Scalar oracle: interpolated probability of the symmetrized pair (i, j)."""
     if table.total_pairs == 0:
         raise ValueError("table holds no pairs")
-    emp = (table.pair_count(i, j) + table.pair_count(j, i)) / (2.0 * table.total_pairs)
+    counts = pair_counts(table)
+    emp = (counts.get((i, j), 0) + counts.get((j, i), 0)) / (2.0 * table.total_pairs)
     return (1.0 - cfg.lam) * emp + cfg.lam * float(probs[i] * probs[j])
 
 
@@ -28,8 +33,9 @@ def make_table(tokens, window, min_count=1):
     return vocab, count_bigrams(iter(tokens), vocab, window)
 
 
-def pmi_rows_oracle(rows, cols, table, cfg, normalizer=1.0):
-    """Out-of-place PMI and weight rows from a dense count matrix."""
+def smoothed_oracle(rows, cols, table, cfg):
+    """Out-of-place smoothed pair probabilities and unigram products from a
+    dense count matrix."""
     n = len(table.vocab)
     dense = np.zeros((n, n))
     for i, j, count in table.pairs():
@@ -38,11 +44,16 @@ def pmi_rows_oracle(rows, cols, table, cfg, normalizer=1.0):
     probs = unigram_probs(table.vocab)
     indep = np.outer(probs[rows], probs[cols])
     counts /= 2.0 * table.total_pairs
-    p = (1.0 - cfg.lam) * counts + cfg.lam * indep
+    return (1.0 - cfg.lam) * counts + cfg.lam * indep, indep
+
+
+def pmi_rows_oracle(rows, cols, table, cfg, normalizer=1.0):
+    """Out-of-place PMI and weight rows from a dense count matrix."""
+    p, indep = smoothed_oracle(rows, cols, table, cfg)
     mask = p > 0.0
     pmi = np.zeros_like(p)
     pmi[mask] = np.log(p[mask] / indep[mask])
-    weights = weight_transform(p, cfg)
+    weights = np.minimum(p, np.inf if cfg.cap is None else cfg.cap) ** cfg.alpha
     weights[~mask] = 0.0
     if normalizer != 1.0:
         weights /= normalizer
@@ -118,28 +129,47 @@ class TestSmoothedProbability:
 
 
 class TestWeightTransform:
+    """The map from pair probability to fit weight, read from the weight rows
+    of :class:`PmiRows` under normalizer 1.0."""
+
+    @staticmethod
+    def weights(cfg):
+        # symmetrized counts (a, a) = 2, (a, b) = 1, (b, b) = 0 of 2 pairs:
+        # under lam = 0, p(a, a) = 0.5, p(a, b) = 0.25 and p(b, b) = 0
+        vocab = Vocabulary(["a", "b"], [3, 1], 4)
+        table = CooccurrenceTable.from_rows(1, vocab, {0: {0: 1, 1: 1}})
+        return PmiRows(range(2), table, cfg, normalizer=1.0)(range(2))[1]
+
     def test_zero_maps_to_zero(self):
-        assert weight_transform(0.0, PmiConfig(alpha=0.5)) == 0.0
+        assert self.weights(PmiConfig(lam=0.0, alpha=0.5))[1, 1] == 0.0
 
     def test_identity_at_alpha_one(self):
-        assert weight_transform(0.2, PmiConfig(alpha=1.0)) == pytest.approx(0.2)
+        np.testing.assert_array_equal(self.weights(PmiConfig(lam=0.0, alpha=1.0)),
+                                      [[0.5, 0.25], [0.25, 0.0]])
 
     def test_square_root(self):
-        assert weight_transform(0.25, PmiConfig(alpha=0.5)) == pytest.approx(0.5)
+        w = self.weights(PmiConfig(lam=0.0, alpha=0.5))
+        assert w[0, 1] == 0.5
+        assert w[0, 0] == pytest.approx(math.sqrt(0.5))
 
     def test_cap_limits_input(self):
-        assert weight_transform(0.9, PmiConfig(alpha=1.0, cap=0.5)) == pytest.approx(0.5)
+        np.testing.assert_array_equal(self.weights(PmiConfig(lam=0.0, alpha=1.0, cap=0.4)),
+                                      [[0.4, 0.25], [0.25, 0.0]])
 
     def test_monotone_in_p_for_random_configs(self):
         rng = np.random.default_rng(11)
+        vocab, table = zipf_table(30, 2000, 2, seed=11)
+        words = range(len(vocab))
         for _ in range(50):
+            lam = float(rng.uniform(0.0, 1.0))
+            p = smoothed_oracle(words, words, table, PmiConfig(lam=lam))[0].ravel()
             cfg = PmiConfig(
+                lam=lam,
                 alpha=float(rng.uniform(0.1, 3.0)),
-                cap=float(rng.uniform(0.05, 1.0)) if rng.random() < 0.5 else None,
+                cap=float(rng.uniform(0.2, 1.0) * p.max()) if rng.random() < 0.5 else None,
             )
-            p = np.sort(rng.uniform(0.0, 1.0, size=20))
-            w = weight_transform(p, cfg)
-            assert np.all(np.diff(w) >= 0.0)
+            w = PmiRows(words, table, cfg, normalizer=1.0)(words)[1].ravel()
+            assert np.all(np.diff(w[np.argsort(p, kind="stable")]) >= 0.0)
 
 
 class TestPmiBlock:
@@ -185,8 +215,8 @@ class TestPmiBlock:
         pmi, _, _ = pmi_block(range(2), range(2), table, PmiConfig(lam=0.0))
         i, j = vocab.index["a"], vocab.index["b"]
         # scalar computation straight from raw counts with plain floats
-        c_ab = table.pair_count(i, j)
-        c_ba = table.pair_count(j, i)
+        counts = pair_counts(table)
+        c_ab, c_ba = counts[i, j], counts[j, i]
         p_emp = (c_ab + c_ba) / (2.0 * table.total_pairs)
         expected = math.log(p_emp / (0.5 * 0.5))
         assert abs(pmi[i, j] - expected) < 1e-12
