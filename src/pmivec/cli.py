@@ -1,6 +1,8 @@
 """Command-line pipeline stages: counting, factorization, evaluation.
 
 Exit codes: 0 success, 1 usage error, 2 data or I/O error, 3 numerical failure.
+A number out of range or not finite is a usage error as a flag, a data error
+in a manifest.
 Every subcommand writes its output atomically and drops a JSON manifest
 (`<out>.manifest.json`) recording the resolved configuration and wall time.
 `factorize-core` alone takes the weighting flags; `factorize-noncore` takes
@@ -41,7 +43,7 @@ from .evaluation import (
     load_similarity,
 )
 from .incremental import solve_words
-from .ioutil import atomic_write
+from .ioutil import atomic_write, check_setting
 from .statistics import PmiConfig, PmiRows, pmi_block
 
 EXIT_OK = 0
@@ -56,32 +58,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"{value} is not positive")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if value < 0.0:
-        raise argparse.ArgumentTypeError(f"{value} is negative")
-    return value
-
-
-def _unit_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"{value} is not in [0, 1]")
-    return value
+def _setting(cast, *bounds: float, above: bool = False):
+    """argparse type of a numeric flag: ``cast`` the text, then apply
+    :func:`check_setting`; a refusal is a usage error."""
+    def parse(text: str):
+        try:
+            return check_setting("the value", cast(text), *bounds, above=above)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _write_manifest(out_path: str, subcommand: str, args: argparse.Namespace,
@@ -159,30 +144,36 @@ def cmd_factorize_core(args) -> None:
     )
 
 
-def _core_weighting(core_vec: str) -> tuple[dict, PmiConfig]:
-    """The manifest beside ``core_vec`` and the weighting it records: growth
-    extends that solve, so it has no weighting of its own.  Without a
-    manifest, ``{}`` and the defaults."""
+def _core_weighting(core_vec: str) -> tuple[PmiConfig, float | None, int | None]:
+    """The weighting, the weight normalizer (the largest min(p, cap) ** alpha,
+    p <= 1) and its word count, as the manifest beside ``core_vec`` records
+    them: growth extends that solve.  Without a manifest, the default weighting."""
     path = Path(core_vec + ".manifest.json")
     if not path.is_file():
         print(f"warning: no {path}; growing with the default weighting {PmiConfig()}",
               file=sys.stderr)
-        return {}, PmiConfig()
+        return PmiConfig(), None, None
     try:
         with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
         recorded = manifest["arguments"]
         cfg = PmiConfig(**{f.name: recorded[f.name] for f in dataclasses.fields(PmiConfig)})
+        normalizer = manifest.get("weight_normalizer")
+        if normalizer is not None:
+            check_setting("weight_normalizer", normalizer, 0.0, 1.0, above=True)
+        words = manifest.get("weight_normalizer_words")
+        if words is not None and check_setting("weight_normalizer_words", words, 1) % 1:
+            raise ValueError(f"weight_normalizer_words {words!r} is not a whole number")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
-            f"{path} records no usable weighting ({type(exc).__name__}: {exc})"
+            f"{path} is no usable core manifest ({type(exc).__name__}: {exc})"
         ) from None
-    return manifest, cfg
+    return cfg, normalizer, words
 
 
 def cmd_factorize_noncore(args) -> None:
     started = time.perf_counter()
-    manifest, cfg = _core_weighting(args.core_vec)
+    cfg, recorded, recorded_words = _core_weighting(args.core_vec)
     vars(args).update(dataclasses.asdict(cfg))  # recorded in this stage's manifest
     vocab = load_unigrams(args.unigrams)
     table = load_bigrams(args.bigrams, vocab)
@@ -219,8 +210,7 @@ def cmd_factorize_noncore(args) -> None:
     # a manifest's normalizer covers its .vec's leading words; with every core
     # word found, the same number of them must give the same value
     covered = len(cols) if len(cols) == len(core_words) else None
-    recorded = manifest.get("weight_normalizer")
-    if (covered is not None and manifest.get("weight_normalizer_words") == covered
+    if (covered is not None and recorded_words == covered
             and recorded is not None and recorded != rows_of.normalizer):
         raise ValueError(
             f"weight normalizer {rows_of.normalizer!r} of the {covered} core words differs "
@@ -302,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count-unigrams", help="count words and write the vocabulary file")
     p.add_argument("--input", required=True, help="corpus text file")
-    p.add_argument("--min-count", type=_positive_int, default=5,
+    p.add_argument("--min-count", type=_setting(int, 1), default=5,
                    help="discard words seen fewer times (default 5)")
     p.add_argument("--out", required=True, help="unigram file to write")
     p.set_defaults(func=cmd_count_unigrams)
@@ -310,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count-bigrams", help="count in-window word pairs")
     p.add_argument("--input", required=True, help="corpus text file")
     p.add_argument("--unigrams", required=True, help="unigram file from count-unigrams")
-    p.add_argument("--window", type=_positive_int, default=3,
+    p.add_argument("--window", type=_setting(int, 1), default=3,
                    help="pair window in tokens (default 3)")
     p.add_argument("--out", required=True, help="bigram file to write")
     p.set_defaults(func=cmd_count_bigrams)
@@ -318,20 +308,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factorize-core", help="solve embeddings for the most frequent words")
     p.add_argument("--bigrams", required=True)
     p.add_argument("--unigrams", required=True)
-    p.add_argument("--core-size", type=_positive_int, required=True,
+    p.add_argument("--core-size", type=_setting(int, 1), required=True,
                    help="number of most frequent words solved jointly")
-    p.add_argument("--dim", type=_positive_int, required=True, help="embedding dimension")
+    p.add_argument("--dim", type=_setting(int, 1), required=True, help="embedding dimension")
     defaults = PmiConfig()  # growth calls take these from the core's manifest
-    p.add_argument("--lambda", dest="lam", type=_unit_float, default=defaults.lam,
+    p.add_argument("--lambda", dest="lam", type=_setting(float, 0.0, 1.0), default=defaults.lam,
                    help=f"smoothing interpolation weight (default {defaults.lam})")
-    p.add_argument("--alpha", type=_positive_float, default=defaults.alpha,
+    p.add_argument("--alpha", type=_setting(float, 0.0, above=True), default=defaults.alpha,
                    help=f"weight transform exponent (default {defaults.alpha})")
-    p.add_argument("--cap", type=_positive_float, default=defaults.cap,
+    p.add_argument("--cap", type=_setting(float, 0.0, above=True), default=defaults.cap,
                    help="optional probability cap before the transform")
-    p.add_argument("--iters", type=_positive_int, default=20,
-                   help="maximum solver sweeps (default 20)")
-    p.add_argument("--tol", type=_positive_float, default=1e-4,
-                   help="relative residual change for convergence (default 1e-4)")
+    p.add_argument("--iters", type=_setting(int, 1), default=CoreSolveConfig.max_iters,
+                   help=f"maximum solver sweeps (default {CoreSolveConfig.max_iters})")
+    p.add_argument("--tol", type=_setting(float, 0.0, above=True), default=CoreSolveConfig.tol,
+                   help=f"relative residual change to stop at (default {CoreSolveConfig.tol:g})")
     p.add_argument("--out", required=True, help=".vec file to write")
     p.set_defaults(func=cmd_factorize_core)
 
@@ -342,12 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--core-vec", required=True,
                    help=".vec file with the embeddings to extend; its manifest "
                         "fixes the weighting")
-    p.add_argument("--core-size", type=_positive_int, default=None,
+    p.add_argument("--core-size", type=_setting(int, 1), default=None,
                    help="use only the first N stored vectors as regression "
                         "targets (default: all)")
-    p.add_argument("--count", type=_positive_int, required=True,
+    p.add_argument("--count", type=_setting(int, 1), required=True,
                    help="how many new words to solve, in frequency order")
-    p.add_argument("--mu", type=_nonnegative_float, required=True,
+    p.add_argument("--mu", type=_setting(float, 0.0), required=True,
                    help="ridge coefficient for this group")
     p.add_argument("--out", required=True, help=".vec file to write")
     p.set_defaults(func=cmd_factorize_noncore)

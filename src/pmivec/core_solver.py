@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ioutil import check_setting
+
 
 @dataclass(frozen=True)
 class CoreSolveConfig:
@@ -33,12 +35,9 @@ class CoreSolveConfig:
     tol: float = 1e-4
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be at least 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        check_setting("dim", self.dim, 1)
+        check_setting("max_iters", self.max_iters, 1)
+        check_setting("tol", self.tol, 0.0, above=True)
 
 
 #: Oversampling of the first Krylov block, and block steps of the first and later sweeps.

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .ioutil import ParseError, atomic_write, sha256
+from .ioutil import ParseError, atomic_write, check_setting, sha256
 
 #: Emitted between documents; counting windows never cross it.
 DOC_BREAK = None
@@ -94,8 +94,7 @@ class Vocabulary:
 
 def count_unigrams(tokens: Iterable[str | None], min_count: int = 1) -> Vocabulary:
     """Tally a token stream and build the frequency-thresholded vocabulary."""
-    if min_count < 1:
-        raise ValueError("min_count must be at least 1")
+    check_setting("min_count", min_count, 1)
     counts = Counter(tokens)
     counts.pop(DOC_BREAK, None)
     kept = sorted(((w, c) for w, c in counts.items() if c >= min_count),
@@ -177,8 +176,7 @@ class CooccurrenceTable:
     total_pairs: int = field(init=False)
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be at least 1")
+        check_setting("window", self.window, 1)
         indptr, indices, counts = (np.asarray(a) for a in (self.indptr, self.indices, self.counts))
         _check_csr(indptr, indices, counts, len(self.vocab))
         self.indptr = indptr.astype(np.int64, copy=False)
@@ -228,8 +226,7 @@ def count_bigrams(
     one offset at a time over the whole stream, and a running count of
     document breaks masks the pairs that would cross one.
     """
-    if window < 1:
-        raise ValueError("window must be at least 1")
+    check_setting("window", window, 1)
     if len(vocab) == 0:
         raise ValueError("vocabulary is empty")
     n = len(vocab)

@@ -76,18 +76,10 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the average of their positions."""
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    sorted_vals = values[order]
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(np.asarray(values, dtype=float),
+                                 return_inverse=True, return_counts=True)
+    # a group of k ties ending at 1-based position e holds e - k + 1 .. e
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
 
 def spearman(xs, ys) -> float:
@@ -96,6 +88,8 @@ def spearman(xs, ys) -> float:
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1 or len(xs) < 2:
         raise ValueError("need two equal-length vectors of at least 2 values")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ValueError("rank correlation needs finite values")
     rx = average_ranks(xs) - (len(xs) + 1) / 2.0
     ry = average_ranks(ys) - (len(ys) + 1) / 2.0
     denom = np.sqrt(float(rx @ rx) * float(ry @ ry))

@@ -22,6 +22,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .ioutil import check_setting
 from .statistics import BATCH_WORDS, PmiRows
 
 
@@ -37,7 +38,7 @@ def _solve_ridge(
     a = 2.0 * (core_vectors.T * w) @ core_vectors
     b = 2.0 * (core_vectors.T @ (w * g))
     d = core_vectors.shape[1]
-    if mu > 0.0:
+    if mu:  # validated by the callers: finite and nonnegative
         return np.linalg.solve(a + mu * np.eye(d), b), False
     solution, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     return solution, rank < d
@@ -58,8 +59,7 @@ def solve_noncore_word(
         raise ValueError("row, weights and core vectors must be conformable")
     if not np.all(w >= 0.0):
         raise ValueError("weights must be nonnegative")
-    if mu < 0.0:
-        raise ValueError("mu must be nonnegative")
+    check_setting("mu", mu, 0.0)
     solution, degenerate = _solve_ridge(g, w, core_vectors, mu)
     if degenerate:
         warnings.warn(
@@ -80,8 +80,7 @@ def solve_words(
     The columns of ``rows_of`` are the regression columns, aligned with the
     rows of ``core_vectors``, and its normalizer is the core solve's.
     """
-    if mu < 0.0:
-        raise ValueError("mu must be nonnegative")
+    check_setting("mu", mu, 0.0)
     words = iter(word_indices)
     while batch := list(islice(words, BATCH_WORDS)):
         g, w = rows_of(batch)

@@ -1,5 +1,8 @@
-"""Small file helpers shared by the persistence layers."""
+"""Helpers shared by every layer: the one validity rule for real-valued
+settings, the parse error that names a file line, and atomic writes."""
 
+import math
+import numbers
 import os
 import tempfile
 from contextlib import contextmanager
@@ -13,6 +16,18 @@ except ImportError:
         from _sha256 import sha256  # Python <= 3.11
     except ImportError:
         from hashlib import sha256
+
+
+def check_setting(name: str, value, low: float, high: float = math.inf, *, above: bool = False):
+    """``value`` if it is a finite real number, not a bool, in ``[low, high]``
+    (``(low, high]`` with ``above``), else a ``ValueError`` naming ``name``.
+    Every real-valued setting passes here: flags, manifest fields, library calls."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or not (low < value if above else low <= value)
+            or value > high):
+        span = f"{'(' if above else '['}{low:g}, {high:g}{']' if high < math.inf else ')'}"
+        raise ValueError(f"{name} must be a finite number in {span}, not {value!r}")
+    return value
 
 
 class ParseError(ValueError):

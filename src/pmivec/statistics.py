@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import CooccurrenceTable, Vocabulary
+from .ioutil import check_setting
 
 #: Words whose PMI and weight rows are built together.
 BATCH_WORDS = 256
@@ -40,12 +41,10 @@ class PmiConfig:
     cap: float | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lam must lie in [0, 1]")
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
-        if self.cap is not None and self.cap <= 0.0:
-            raise ValueError("cap must be positive when present")
+        check_setting("lam", self.lam, 0.0, 1.0)
+        check_setting("alpha", self.alpha, 0.0, above=True)
+        if self.cap is not None:
+            check_setting("cap", self.cap, 0.0, above=True)
 
 
 def unigram_probs(vocab: Vocabulary) -> np.ndarray:

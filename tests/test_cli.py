@@ -1,5 +1,7 @@
+import argparse
 import errno
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import pmivec
-from pmivec.cli import main
+from pmivec.cli import build_parser, main
 from pmivec.corpus import companion_path, count_unigrams, load_bigrams, load_unigrams, tokenize
 from pmivec.embeddings import EmbeddingSet, load_vec, save_vec
 from pmivec.incremental import solve_words
@@ -399,10 +401,13 @@ class TestFactorizeNoncore:
             ])
         assert exc.value.code == 1
 
-    @pytest.mark.parametrize("recorded", [{"alpha": "x"}, {"lam": 2}, {"lam": None}],
-                             ids=["alpha-text", "lam-range", "lam-null"])
+    @pytest.mark.parametrize("recorded,extra", [
+        ({"alpha": "x"}, []), ({"lam": 2}, []), ({"lam": None}, []), ({"lam": True}, []),
+        # with fewer regression words than the normalizer covers, nothing else would stop it
+        ({"cap": True}, ["--core-size", "8"]), ({"alpha": math.nan}, []),
+    ], ids=["alpha-text", "lam-range", "lam-null", "lam-bool", "cap-bool", "alpha-nan"])
     def test_unusable_recorded_weighting_is_data_error(self, small_pipeline, tmp_path, capsys,
-                                                       recorded):
+                                                       recorded, extra):
         data = ["--bigrams", str(small_pipeline["bigrams"]),
                 "--unigrams", str(small_pipeline["unigrams"])]
         core, out = tmp_path / "core.vec", tmp_path / "grown.vec"
@@ -413,9 +418,32 @@ class TestFactorizeNoncore:
         Path(str(core) + ".manifest.json").write_text(json.dumps(manifest))
         capsys.readouterr()
         code = main(["factorize-noncore", *data, "--core-vec", str(core), "--count", "4",
-                     "--mu", "1.0", "--out", str(out)])
+                     "--mu", "1.0", *extra, "--out", str(out)])
         assert code == 2
         assert "core.vec.manifest.json" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("weight_normalizer", "text"), ("weight_normalizer", 0.0), ("weight_normalizer", 1.5),
+        ("weight_normalizer_words", True), ("weight_normalizer_words", 10.5),
+    ], ids=["normalizer-text", "normalizer-zero", "normalizer-above-one", "words-bool",
+            "words-fraction"])
+    def test_malformed_recorded_normalizer_is_data_error(self, small_pipeline, tmp_path, capsys,
+                                                        field, value):
+        data = ["--bigrams", str(small_pipeline["bigrams"]),
+                "--unigrams", str(small_pipeline["unigrams"])]
+        core, out = tmp_path / "core.vec", tmp_path / "grown.vec"
+        assert main(["factorize-core", *data, "--core-size", "10", "--dim", "4",
+                     "--out", str(core)]) == 0
+        manifest = read_manifest(core)
+        manifest[field] = str(manifest[field]) if value == "text" else value
+        Path(str(core) + ".manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code = main(["factorize-noncore", *data, "--core-vec", str(core), "--count", "4",
+                     "--mu", "1.0", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "core.vec.manifest.json" in err and field in err and "counts" not in err
         assert not out.exists()
 
     def test_vec_without_manifest_grows_with_defaults(self, small_pipeline, tmp_path, capsys):
@@ -567,6 +595,42 @@ class TestUsageErrors:
         assert exc.value.code == 0
         text = " ".join(capsys.readouterr().out.split())
         assert "(default 0.1)" in text and "(default 0.5)" in text
+
+    @pytest.mark.parametrize("flag,value", [("--mu", "nan"), ("--alpha", "inf")],
+                             ids=["mu-nan", "alpha-inf"])
+    def test_non_finite_setting_is_usage_error(self, tmp_path, capsys, flag, value):
+        # refused before any file is read: none of the inputs exists
+        stage = (["factorize-noncore", "--core-vec", "x.vec", "--count", "4", "--mu", "1"]
+                 if flag == "--mu" else ["factorize-core", "--core-size", "10", "--dim", "4"])
+        out = tmp_path / "out.vec"
+        with pytest.raises(SystemExit) as exc:
+            main([*stage, "--bigrams", "x.txt", "--unigrams", "x.txt", flag, value,
+                  "--out", str(out)])
+        assert exc.value.code == 1
+        assert f"argument {flag}: the value must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_numeric_flag_takes_the_shared_check(self, capsys):
+        # a flag with a type of its own could bring back a hand-written range check
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction)).choices
+        checked = 0
+        for name, sub in subparsers.items():
+            required = [arg for a in sub._actions if a.required
+                        for arg in (a.option_strings[0], "1" if a.type else "x")]
+            for action in sub._actions:
+                if action.type is None:
+                    continue
+                assert action.type.__qualname__ == "_setting.<locals>.parse", action.dest
+                flag = action.option_strings[0]
+                for value in ("nan", "inf", "-inf"):
+                    with pytest.raises(SystemExit) as exc:
+                        parser.parse_args([name, *required, f"{flag}={value}"])
+                    assert exc.value.code == 1
+                    assert f"argument {flag}: " in capsys.readouterr().err
+                checked += 1
+        assert checked == 12
 
 
 class TestBigramCompanion:

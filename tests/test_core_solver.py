@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -422,3 +423,14 @@ class TestConfigValidation:
             CoreSolveConfig(2, max_iters=0)
         with pytest.raises(ValueError):
             CoreSolveConfig(2, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [True, "0.1", math.nan, math.inf],
+                             ids=["bool", "text", "nan", "inf"])
+    def test_tol_must_be_a_finite_number(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            CoreSolveConfig(2, tol=tol)
+
+    @pytest.mark.parametrize("tol", [np.float64(1e-3), np.float32(1e-3), np.int64(1)],
+                             ids=["float64", "float32", "int64"])
+    def test_numpy_tol_accepted(self, tol):
+        assert CoreSolveConfig(2, tol=tol).tol == tol

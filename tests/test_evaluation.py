@@ -86,6 +86,15 @@ class TestSpearman:
         with pytest.raises(ValueError):
             spearman([1, 1, 1], [1, 2, 3])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_input_rejected(self, bad):
+        # np.unique would rank every NaN as one tie group, which a rank
+        # correlation has no use for
+        with pytest.raises(ValueError, match="finite"):
+            spearman([1.0, bad, 3.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="finite"):
+            spearman([1.0, 2.0, 3.0], [bad, 2.0, 3.0])
+
     def test_invariant_under_monotone_transforms(self):
         rng = np.random.default_rng(1)
         xs = rng.normal(size=40)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -171,3 +173,32 @@ class TestBatchConsistency:
             g_row = gram[:c, c + k]
             v = solve_noncore_word(g_row, weights, core, mu=0.0)
             np.testing.assert_allclose(core @ v, g_row, atol=1e-6)
+
+
+@pytest.fixture(scope="module")
+def growth_setup():
+    rng = np.random.default_rng(9)
+    vocab, table = synthetic_setup(rng, 8)
+    return rng.normal(size=(4, 2)), PmiRows(np.arange(4), table, PmiConfig(), normalizer=None)
+
+
+@pytest.mark.parametrize("mu", [True, "1.0", math.nan, math.inf, -1.0],
+                         ids=["bool", "text", "nan", "inf", "negative"])
+def test_growth_solvers_refuse_mu(growth_setup, mu):
+    core, rows_of = growth_setup
+    with pytest.raises(ValueError, match="mu"):
+        solve_noncore_word(np.zeros(4), np.ones(4), core, mu)
+    with pytest.raises(ValueError, match="mu"):
+        list(solve_words(core, rows_of, [4, 5], mu))
+
+
+@pytest.mark.parametrize("mu", [np.float64(2.0), np.float32(2.0), np.int64(2)],
+                         ids=["float64", "float32", "int64"])
+def test_growth_solvers_accept_numpy_mu(growth_setup, mu):
+    core, rows_of = growth_setup
+    g, w = rows_of([4])
+    np.testing.assert_array_equal(solve_noncore_word(g[0], w[0], core, mu),
+                                  solve_noncore_word(g[0], w[0], core, 2.0))
+    (_, got, _), = solve_words(core, rows_of, [4], mu)
+    (_, expected, _), = solve_words(core, rows_of, [4], 2.0)
+    np.testing.assert_array_equal(got, expected)

@@ -78,6 +78,18 @@ class TestConfigs:
         with pytest.raises(ValueError):
             PmiConfig(cap=-1.0)
 
+    @pytest.mark.parametrize("field", ["lam", "alpha", "cap"])
+    @pytest.mark.parametrize("value", [True, "0.1", math.nan, math.inf],
+                             ids=["bool", "text", "nan", "inf"])
+    def test_refuses_what_is_not_a_finite_number(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PmiConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5), np.int64(1)],
+                             ids=["float64", "float32", "int64"])
+    def test_accepts_numpy_scalars(self, value):
+        assert PmiConfig(lam=value, alpha=value, cap=value).alpha == value
+
 
 class TestUnigramDistribution:
     def test_direct_ratio(self):
