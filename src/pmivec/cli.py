@@ -5,8 +5,11 @@ A number out of range or not finite is a usage error as a flag, a data error
 in a manifest.
 Every subcommand writes its output atomically and drops a JSON manifest
 (`<out>.manifest.json`) recording the resolved configuration and wall time.
-`factorize-core` alone takes the weighting flags; `factorize-noncore` takes
-the weighting recorded in the manifest of the vectors it extends.
+`factorize-core` alone takes the weighting flags, and records them with the
+SHA-256 of its count files.  `factorize-noncore` extends only a solve whose
+manifest it reads: it takes the weighting from there, refuses count files
+with other digests, and requires the stored words to be the vocabulary's
+leading words.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .evaluation import (
     load_similarity,
 )
 from .incremental import solve_words
-from .ioutil import atomic_write, check_setting
+from .ioutil import atomic_write, check_setting, file_sha256
 from .statistics import PmiConfig, PmiRows, pmi_block
 
 EXIT_OK = 0
@@ -117,6 +120,7 @@ def cmd_factorize_core(args) -> None:
             f"and the {len(vocab)} vocabulary words"
         )
     table = load_bigrams(args.bigrams, vocab)
+    digests = {"bigrams": table.text_sha256, "unigrams": file_sha256(args.unigrams)}
     core = range(args.core_size)
     cfg = PmiConfig(args.lam, args.alpha, args.cap)
     pmi, weights, normalizer = pmi_block(core, core, table, cfg)
@@ -135,7 +139,7 @@ def cmd_factorize_core(args) -> None:
                 "method": diag.method,
             },
             "weight_normalizer": normalizer,
-            "weight_normalizer_words": args.core_size,
+            "counts_sha256": digests,
         },
     )
     print(
@@ -144,109 +148,84 @@ def cmd_factorize_core(args) -> None:
     )
 
 
-def _core_weighting(core_vec: str) -> tuple[PmiConfig, float | None, int | None]:
-    """The weighting, the weight normalizer (the largest min(p, cap) ** alpha,
-    p <= 1) and its word count, as the manifest beside ``core_vec`` records
-    them: growth extends that solve.  Without a manifest, the default weighting."""
+def _core_manifest(core_vec: str) -> tuple[PmiConfig, dict[str, str]]:
+    """The weighting and the count-file digests that the manifest beside
+    ``core_vec`` records: growth extends that solve."""
     path = Path(core_vec + ".manifest.json")
     if not path.is_file():
-        print(f"warning: no {path}; growing with the default weighting {PmiConfig()}",
-              file=sys.stderr)
-        return PmiConfig(), None, None
+        raise ValueError(f"no {path}: growth extends a pmivec solve and must read its manifest")
     try:
         with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
         recorded = manifest["arguments"]
         cfg = PmiConfig(**{f.name: recorded[f.name] for f in dataclasses.fields(PmiConfig)})
-        normalizer = manifest.get("weight_normalizer")
-        if normalizer is not None:
-            check_setting("weight_normalizer", normalizer, 0.0, 1.0, above=True)
-        words = manifest.get("weight_normalizer_words")
-        if words is not None and check_setting("weight_normalizer_words", words, 1) % 1:
-            raise ValueError(f"weight_normalizer_words {words!r} is not a whole number")
+        digests = manifest["counts_sha256"]
+        if not (isinstance(digests, dict) and sorted(digests) == ["bigrams", "unigrams"]
+                and all(isinstance(d, str) and len(d) == 64 and set(d) <= set("0123456789abcdef")
+                        for d in digests.values())):
+            raise ValueError(f"counts_sha256 {digests!r} does not map bigrams and unigrams "
+                             f"to SHA-256 hex digests")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
             f"{path} is no usable core manifest ({type(exc).__name__}: {exc})"
         ) from None
-    return cfg, normalizer, words
+    return cfg, digests
 
 
 def cmd_factorize_noncore(args) -> None:
     started = time.perf_counter()
-    cfg, recorded, recorded_words = _core_weighting(args.core_vec)
+    cfg, recorded = _core_manifest(args.core_vec)
     vars(args).update(dataclasses.asdict(cfg))  # recorded in this stage's manifest
     vocab = load_unigrams(args.unigrams)
     table = load_bigrams(args.bigrams, vocab)
+    digests = {"bigrams": table.text_sha256, "unigrams": file_sha256(args.unigrams)}
+    if digests != recorded:
+        raise ValueError(
+            f"{args.bigrams} and {args.unigrams} have SHA-256 {digests['bigrams']} and "
+            f"{digests['unigrams']}, but {args.core_vec}.manifest.json records "
+            f"{recorded['bigrams']} and {recorded['unigrams']}: these are not the counts "
+            f"the core vectors were solved on"
+        )
     base = load_vec(args.core_vec)
     if len(base) == 0:
         raise ValueError(f"{args.core_vec} holds no embeddings")
+    if base.words != vocab.words[:len(base)]:
+        raise ValueError(
+            f"the words of {args.core_vec} are not the leading words of {args.unigrams}")
     core_size = args.core_size if args.core_size is not None else len(base)
     if core_size > len(base):
         raise ValueError(f"--core-size {core_size} exceeds the {len(base)} stored vectors")
-    core_words = base.words[:core_size]
-
-    # regression columns: core words that are present in this vocabulary
-    cols = []
-    kept_rows = []
-    for row, word in enumerate(core_words):
-        idx = vocab.index.get(word)
-        if idx is not None:
-            cols.append(idx)
-            kept_rows.append(row)
-    if not cols:
-        raise ValueError("no core word is present in the bigram vocabulary")
-    if len(cols) < len(core_words):
-        missing = len(core_words) - len(cols)
-        print(
-            f"warning: {missing}/{len(core_words)} core words are absent from the "
-            f"vocabulary (coverage {len(cols) / len(core_words):.3f})",
-            file=sys.stderr,
-        )
-    core_vectors = base.vectors[:core_size][kept_rows]
 
     # weights share the scale of the block of the regression columns, the
     # normalizer factorize-core found for those words
-    rows_of = PmiRows(cols, table, cfg, normalizer=None)
-    # a manifest's normalizer covers its .vec's leading words; with every core
-    # word found, the same number of them must give the same value
-    covered = len(cols) if len(cols) == len(core_words) else None
-    if (covered is not None and recorded_words == covered
-            and recorded is not None and recorded != rows_of.normalizer):
-        raise ValueError(
-            f"weight normalizer {rows_of.normalizer!r} of the {covered} core words differs "
-            f"from {recorded!r}, recorded in {args.core_vec}.manifest.json; these counts "
-            f"are not those the core vectors were solved on"
-        )
-
-    have = set(base.words)
-    new_indices = [i for i, w in enumerate(vocab.words) if w not in have][: args.count]
-    if len(new_indices) < args.count:
+    rows_of = PmiRows(range(core_size), table, cfg, normalizer=None)
+    new = range(len(base), min(len(base) + args.count, len(vocab)))
+    if len(new) < args.count:
         print(
-            f"warning: only {len(new_indices)} vocabulary words are left to solve "
+            f"warning: only {len(new)} vocabulary words are left to solve "
             f"(requested {args.count})",
             file=sys.stderr,
         )
     solve_start = time.perf_counter()
-    vectors = np.empty((len(new_indices), base.dim))
+    vectors = np.empty((len(new), base.dim))
     degeneracies = 0
-    stream = solve_words(core_vectors, rows_of, new_indices, args.mu)
+    stream = solve_words(base.vectors[:core_size], rows_of, new, args.mu)
     for pos, (_, vector, degenerate) in enumerate(stream):
         vectors[pos] = vector
         degeneracies += degenerate
     seconds = time.perf_counter() - solve_start
-    merged = EmbeddingSet(base.words + [vocab.words[i] for i in new_indices],
-                          np.vstack([base.vectors, vectors]))
+    merged = EmbeddingSet(vocab.words[:new.stop], np.vstack([base.vectors, vectors]))
     save_vec(merged, args.out)
-    report = {"words": len(new_indices), "mu": args.mu, "degeneracies": degeneracies,
+    report = {"words": len(new), "mu": args.mu, "degeneracies": degeneracies,
               "seconds": round(seconds, 6)}
     _write_manifest(
         args.out, "factorize-noncore", args, started,
         [args.bigrams, args.unigrams, args.core_vec], [args.out],
         extra={"report": report, "weight_normalizer": rows_of.normalizer,
-               "weight_normalizer_words": covered},
+               "counts_sha256": digests},
     )
     print(
-        f"solved {len(new_indices)} words (mu={args.mu:g}, "
+        f"solved {len(new)} words (mu={args.mu:g}, "
         f"{degeneracies} degenerate, {seconds:.2f}s); "
         f"{len(merged)} total -> {args.out}"
     )
@@ -331,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unigrams", required=True)
     p.add_argument("--core-vec", required=True,
                    help=".vec file with the embeddings to extend; its manifest "
-                        "fixes the weighting")
+                        "fixes the weighting and the count files")
     p.add_argument("--core-size", type=_setting(int, 1), default=None,
                    help="use only the first N stored vectors as regression "
                         "targets (default: all)")

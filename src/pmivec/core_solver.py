@@ -35,8 +35,8 @@ class CoreSolveConfig:
     tol: float = 1e-4
 
     def __post_init__(self):
-        check_setting("dim", self.dim, 1)
-        check_setting("max_iters", self.max_iters, 1)
+        check_setting("dim", self.dim, 1, integral=True)
+        check_setting("max_iters", self.max_iters, 1, integral=True)
         check_setting("tol", self.tol, 0.0, above=True)
 
 

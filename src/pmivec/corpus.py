@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .ioutil import ParseError, atomic_write, check_setting, sha256
+from .ioutil import ParseError, atomic_write, check_setting, file_sha256, sha256
 
 #: Emitted between documents; counting windows never cross it.
 DOC_BREAK = None
@@ -94,7 +94,7 @@ class Vocabulary:
 
 def count_unigrams(tokens: Iterable[str | None], min_count: int = 1) -> Vocabulary:
     """Tally a token stream and build the frequency-thresholded vocabulary."""
-    check_setting("min_count", min_count, 1)
+    check_setting("min_count", min_count, 1, integral=True)
     counts = Counter(tokens)
     counts.pop(DOC_BREAK, None)
     kept = sorted(((w, c) for w, c in counts.items() if c >= min_count),
@@ -165,7 +165,9 @@ class CooccurrenceTable:
     pair): context indices ``indices[indptr[i]:indptr[i + 1]]``, strictly
     increasing, and their ``counts``, each in ``[1, MAX_COUNT]``.  Each
     in-window ordered pair is counted once, with no distance weighting.
-    Storage is 8 bytes per distinct pair plus 8 per word.
+    Storage is 8 bytes per distinct pair plus 8 per word.  ``text_sha256``
+    is the hex digest of the bigram text :func:`load_bigrams` read it from,
+    and None otherwise; equality ignores it.
     """
 
     window: int
@@ -174,9 +176,10 @@ class CooccurrenceTable:
     indices: np.ndarray
     counts: np.ndarray
     total_pairs: int = field(init=False)
+    text_sha256: str | None = field(init=False, default=None)
 
     def __post_init__(self):
-        check_setting("window", self.window, 1)
+        check_setting("window", self.window, 1, integral=True)
         indptr, indices, counts = (np.asarray(a) for a in (self.indptr, self.indices, self.counts))
         _check_csr(indptr, indices, counts, len(self.vocab))
         self.indptr = indptr.astype(np.int64, copy=False)
@@ -226,7 +229,7 @@ def count_bigrams(
     one offset at a time over the whole stream, and a running count of
     document breaks masks the pairs that would cross one.
     """
-    check_setting("window", window, 1)
+    check_setting("window", window, 1, integral=True)
     if len(vocab) == 0:
         raise ValueError("vocabulary is empty")
     n = len(vocab)
@@ -363,14 +366,6 @@ def _words_digest(vocab: Vocabulary) -> bytes:
     return sha256("\n".join(vocab.words).encode("utf-8")).digest()
 
 
-def _file_digest(path) -> bytes:
-    digest = sha256()
-    with open(path, "rb") as fh:
-        while block := fh.read(1 << 20):
-            digest.update(block)
-    return digest.digest()
-
-
 def _save_companion(table: CooccurrenceTable, path: str, text_digest: bytes) -> None:
     """Write the companion with deterministic bytes; arrays are streamed
     straight from the table, never concatenated."""
@@ -385,14 +380,13 @@ def _save_companion(table: CooccurrenceTable, path: str, text_digest: bytes) -> 
         fh.write(_CSR_CHECK.pack(check))
 
 
-def _load_companion(path, vocab: Vocabulary) -> CooccurrenceTable | None:
-    """The table stored in the companion of ``path``, or None when it is
-    missing, unreadable, damaged, or was written for another text or
-    vocabulary."""
+def _load_companion(path, vocab: Vocabulary, text_digest: bytes) -> CooccurrenceTable | None:
+    """The table stored in the companion of ``path``, whose text has the
+    SHA-256 ``text_digest``, or None when the companion is missing,
+    unreadable, damaged, or was written for another text or vocabulary."""
     try:
         with open(companion_path(path), "rb") as fh:
             blob = fh.read()
-        text_digest = _file_digest(path)
     except OSError:
         return None
     if len(blob) < _CSR_HEAD.size + _CSR_CHECK.size:
@@ -421,10 +415,15 @@ def load_bigrams(path, vocab: Vocabulary) -> CooccurrenceTable:
     The companion ``<path>.csr`` is used when it was written with exactly
     this text and this vocabulary word list and passes the table's structure
     checks; in every other case the text is parsed.  Either way the result,
-    and any :class:`ParseError`, are the same.
+    and any :class:`ParseError`, are the same.  The text is hashed once, and
+    the table keeps the digest as ``text_sha256``.
     """
-    table = _load_companion(path, vocab)
-    return table if table is not None else _parse_bigrams(path, vocab)
+    text_sha256 = file_sha256(path)
+    table = _load_companion(path, vocab, bytes.fromhex(text_sha256))
+    if table is None:
+        table = _parse_bigrams(path, vocab)
+    table.text_sha256 = text_sha256
+    return table
 
 
 def _parse_bigrams(path, vocab: Vocabulary) -> CooccurrenceTable:

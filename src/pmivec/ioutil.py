@@ -1,5 +1,6 @@
-"""Helpers shared by every layer: the one validity rule for real-valued
-settings, the parse error that names a file line, and atomic writes."""
+"""Helpers shared by every layer: the one validity rule for numeric
+settings, file digests, the parse error that names a file line, and atomic
+writes."""
 
 import math
 import numbers
@@ -18,16 +19,29 @@ except ImportError:
         from hashlib import sha256
 
 
-def check_setting(name: str, value, low: float, high: float = math.inf, *, above: bool = False):
-    """``value`` if it is a finite real number, not a bool, in ``[low, high]``
-    (``(low, high]`` with ``above``), else a ``ValueError`` naming ``name``.
-    Every real-valued setting passes here: flags, manifest fields, library calls."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+def check_setting(name: str, value, low: float, high: float = math.inf, *, above: bool = False,
+                  integral: bool = False):
+    """``value`` if it is a finite real number (an ``Integral`` one with
+    ``integral``), not a bool, in ``[low, high]`` (``(low, high]`` with
+    ``above``), else a ``ValueError`` naming ``name``.  Every numeric
+    setting passes here: flags, manifest fields, library calls."""
+    kind = numbers.Integral if integral else numbers.Real
+    if (isinstance(value, bool) or not isinstance(value, kind)
             or not math.isfinite(value) or not (low < value if above else low <= value)
             or value > high):
+        what = "an integer" if integral else "a finite number"
         span = f"{'(' if above else '['}{low:g}, {high:g}{']' if high < math.inf else ')'}"
-        raise ValueError(f"{name} must be a finite number in {span}, not {value!r}")
+        raise ValueError(f"{name} must be {what} in {span}, not {value!r}")
     return value
+
+
+def file_sha256(path) -> str:
+    """Hex SHA-256 of the bytes of the file ``path``, read 1 MiB at a time."""
+    digest = sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 class ParseError(ValueError):

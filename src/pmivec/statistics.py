@@ -13,8 +13,7 @@ inert in the downstream weighted fits, so any finite placeholder would do.
 
 A dense block is built in the memory of its two outputs: the gathered
 counts become the probabilities and then the weights, the unigram products
-become the PMI.  The smoothing step adds one temporary of the same size, so
-an r x c block peaks at three r x c float64 arrays beyond the table.
+become the PMI.
 """
 
 from __future__ import annotations
@@ -28,6 +27,8 @@ from .ioutil import check_setting
 
 #: Words whose PMI and weight rows are built together.
 BATCH_WORDS = 256
+#: Entries of the smoothing step's temporary, which takes whole rows.
+_SMOOTH_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -53,20 +54,16 @@ def unigram_probs(vocab: Vocabulary) -> np.ndarray:
     return counts / counts.sum()
 
 
-def _check_range(r: range, n: int, label: str) -> None:
-    if r.step != 1 or len(r) == 0:
-        raise ValueError(f"{label} must be a nonempty step-1 range")
-    if r.start < 0 or r.stop > n:
-        raise ValueError(f"{label} exceeds the vocabulary")
-
-
 def _smoothed(counts: np.ndarray, indep: np.ndarray, total_pairs: int,
               cfg: PmiConfig) -> np.ndarray:
     """Interpolated pair probability from symmetrized counts, written over
-    the counts with the roundings of ``(1 - lam) * emp + lam * indep``."""
+    the counts with the roundings of ``(1 - lam) * emp + lam * indep``,
+    adding ``lam * indep`` a few rows at a time."""
     counts /= 2.0 * total_pairs
     counts *= 1.0 - cfg.lam
-    counts += cfg.lam * indep
+    step = max(1, _SMOOTH_CHUNK // max(counts.shape[1], 1))
+    for k in range(0, len(counts), step):
+        counts[k:k + step] += cfg.lam * indep[k:k + step]
     return counts
 
 
@@ -105,18 +102,21 @@ class PmiRows:
     divides the weights; ``None`` takes the largest weight of the ``cols`` x
     ``cols`` block, whose weights are built ``BATCH_WORDS`` rows at a time by
     the same steps as this call's, without the PMI.  That equals
-    ``pmi_block``'s normalizer for those words bit for bit.
+    ``pmi_block``'s normalizer for those words bit for bit.  ``cols`` must
+    be distinct vocabulary indices, and requested rows vocabulary indices.
     """
 
     def __init__(self, cols, table: CooccurrenceTable, cfg: PmiConfig, normalizer: float | None = 1.0):
         if table.total_pairs == 0:
             raise ValueError("table holds no pairs")
         n = len(table.vocab)
-        self.cols = np.asarray(cols, dtype=np.int64)
         self.table, self.cfg, self.normalizer = table, cfg, 1.0
+        self.cols = self._indices(cols, "column")
         self.probs = unigram_probs(table.vocab)
         self.col_pos = np.full(n, -1, dtype=np.int64)
         self.col_pos[self.cols] = np.arange(len(self.cols))
+        if np.count_nonzero(self.col_pos >= 0) < len(self.cols):
+            raise ValueError("column indices repeat a word")
         owner, at = _row_entries(table.indptr, self.cols)
         ctx = table.indices[at]
         order = np.argsort(ctx)
@@ -132,9 +132,17 @@ class PmiRows:
             )
         self.normalizer = normalizer
 
-    def _gather(self, rows) -> np.ndarray:
+    def _indices(self, words, label: str) -> np.ndarray:
+        """``words`` as a 1-d index array, checked against the vocabulary."""
+        words = np.asarray(words)
+        n = len(self.table.vocab)
+        if words.ndim != 1 or words.size and (words.dtype.kind not in "iu"
+                                              or not 0 <= words.min() <= words.max() < n):
+            raise ValueError(f"{label} indices must be a list of integers in [0, {n})")
+        return words.astype(np.int64, copy=False)
+
+    def _gather(self, rows: np.ndarray) -> np.ndarray:
         """Symmetrized counts, one row per word of ``rows``, as floats."""
-        rows = np.asarray(rows, dtype=np.int64)
         out = np.zeros((len(rows), len(self.cols)))
         owner, at = _row_entries(self.table.indptr, rows)
         k = self.col_pos[self.table.indices[at]]
@@ -144,10 +152,10 @@ class PmiRows:
         out[owner, self.rev_pos[at]] += self.rev_counts[at]
         return out
 
-    def _smoothed_rows(self, rows) -> tuple[np.ndarray, np.ndarray]:
+    def _smoothed_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Smoothed pair probabilities of the words ``rows``, written over
         their gathered counts, and the unigram products they were smoothed with."""
-        indep = np.outer(self.probs[np.asarray(rows, dtype=np.int64)], self.probs[self.cols])
+        indep = np.outer(self.probs[rows], self.probs[self.cols])
         return _smoothed(self._gather(rows), indep, self.table.total_pairs, self.cfg), indep
 
     def __call__(self, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +163,7 @@ class PmiRows:
         weight 0 under lam = 0."""
         # two dense buffers: the counts become p, then the weights; the
         # unigram products become p / indep, then the PMI
-        p, pmi = self._smoothed_rows(rows)
+        p, pmi = self._smoothed_rows(self._indices(rows, "row"))
         mask = p > 0.0
         np.divide(p, pmi, out=pmi)  # p is 0 off the mask and the products never are
         np.log(pmi, out=pmi, where=mask)
@@ -173,9 +181,6 @@ def pmi_block(
     1.0 when no weight is positive; growth rows reuse it so that weights stay
     on one scale across an entire factorization run.
     """
-    n = len(table.vocab)
-    _check_range(row_range, n, "row range")
-    _check_range(col_range, n, "col range")
     pmi, weights = PmiRows(col_range, table, cfg)(row_range)
     normalizer = _largest_weight([weights])
     weights /= normalizer

@@ -16,7 +16,7 @@ from pmivec.cli import build_parser, main
 from pmivec.corpus import companion_path, count_unigrams, load_bigrams, load_unigrams, tokenize
 from pmivec.embeddings import EmbeddingSet, load_vec, save_vec
 from pmivec.incremental import solve_words
-from pmivec.ioutil import atomic_write
+from pmivec.ioutil import atomic_write, file_sha256
 from pmivec.statistics import PmiConfig, PmiRows
 
 DATA = Path(__file__).parent / "data"
@@ -368,26 +368,25 @@ class TestFactorizeNoncore:
             ])
         assert exc.value.code == 1
 
-    def test_core_vocab_mismatch_warns_and_reports_coverage(
+    def test_vec_words_other_than_the_leading_words_are_data_error(
         self, small_pipeline, tmp_path, capsys
     ):
-        vocab = load_unigrams(small_pipeline["unigrams"])
-        rng = np.random.default_rng(0)
-        words = vocab.words[:6] + ["zzzz"]  # one word the corpus never saw
-        fake_core = EmbeddingSet(words, rng.normal(size=(7, 4)))
-        core_path = tmp_path / "core.vec"
-        save_vec(fake_core, core_path)
-        out = tmp_path / "grown.vec"
-        code = main([
-            "factorize-noncore", "--bigrams", str(small_pipeline["bigrams"]),
-            "--unigrams", str(small_pipeline["unigrams"]),
-            "--core-vec", str(core_path), "--count", "4", "--mu", "1.0",
-            "--out", str(out),
-        ])
-        assert code == 0
-        err = capsys.readouterr().err
-        assert "coverage" in err and "1/7" in err
-        assert len(load_vec(out)) == 11
+        data = ["--bigrams", str(small_pipeline["bigrams"]),
+                "--unigrams", str(small_pipeline["unigrams"])]
+        core, out = tmp_path / "core.vec", tmp_path / "grown.vec"
+        assert main(["factorize-core", *data, "--core-size", "10", "--dim", "4",
+                     "--out", str(core)]) == 0
+        solved = load_vec(core)
+        # a word the corpus never saw, and the two leading words swapped
+        for words in (solved.words[:9] + ["zzzz"], solved.words[1::-1] + solved.words[2:]):
+            save_vec(EmbeddingSet(words, solved.vectors), core)  # the manifest stays
+            capsys.readouterr()
+            code = main(["factorize-noncore", *data, "--core-vec", str(core), "--count", "4",
+                         "--mu", "1.0", "--out", str(out)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "core.vec are not the leading words of" in err and "unigrams.txt" in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--lambda", "--alpha", "--cap"])
     def test_weighting_flag_is_usage_error(self, small_pipeline, tmp_path, flag):
@@ -423,30 +422,31 @@ class TestFactorizeNoncore:
         assert "core.vec.manifest.json" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("field,value", [
-        ("weight_normalizer", "text"), ("weight_normalizer", 0.0), ("weight_normalizer", 1.5),
-        ("weight_normalizer_words", True), ("weight_normalizer_words", 10.5),
-    ], ids=["normalizer-text", "normalizer-zero", "normalizer-above-one", "words-bool",
-            "words-fraction"])
-    def test_malformed_recorded_normalizer_is_data_error(self, small_pipeline, tmp_path, capsys,
-                                                        field, value):
+    @pytest.mark.parametrize("value", [
+        None, "0" * 64, {"bigrams": "0" * 64}, {"bigrams": "0" * 64, "unigrams": "z" * 64}, True,
+    ], ids=["missing", "string", "missing-key", "non-hex", "bool"])
+    def test_malformed_counts_sha256_is_data_error(self, small_pipeline, tmp_path, capsys, value):
         data = ["--bigrams", str(small_pipeline["bigrams"]),
                 "--unigrams", str(small_pipeline["unigrams"])]
         core, out = tmp_path / "core.vec", tmp_path / "grown.vec"
         assert main(["factorize-core", *data, "--core-size", "10", "--dim", "4",
                      "--out", str(core)]) == 0
         manifest = read_manifest(core)
-        manifest[field] = str(manifest[field]) if value == "text" else value
+        if value is None:
+            del manifest["counts_sha256"]
+        else:
+            manifest["counts_sha256"] = value
         Path(str(core) + ".manifest.json").write_text(json.dumps(manifest))
         capsys.readouterr()
         code = main(["factorize-noncore", *data, "--core-vec", str(core), "--count", "4",
                      "--mu", "1.0", "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert "core.vec.manifest.json" in err and field in err and "counts" not in err
+        assert "core.vec.manifest.json is no usable core manifest" in err
+        assert "counts_sha256" in err
         assert not out.exists()
 
-    def test_vec_without_manifest_grows_with_defaults(self, small_pipeline, tmp_path, capsys):
+    def test_vec_without_manifest_is_data_error(self, small_pipeline, tmp_path, capsys):
         data = ["--bigrams", str(small_pipeline["bigrams"]),
                 "--unigrams", str(small_pipeline["unigrams"])]
         core, bare = tmp_path / "core.vec", tmp_path / "bare" / "core.vec"
@@ -454,43 +454,44 @@ class TestFactorizeNoncore:
                      "--out", str(core)]) == 0
         bare.parent.mkdir()
         bare.write_bytes(core.read_bytes())
-        grown = []
-        for base in (core, bare):
-            capsys.readouterr()
-            out = base.parent / "grown.vec"
-            assert main(["factorize-noncore", *data, "--core-vec", str(base), "--count", "6",
-                         "--mu", "1.0", "--out", str(out)]) == 0
-            grown.append((out.read_bytes(), "default weighting" in capsys.readouterr().err))
-        (with_manifest, warned), (without, warned_bare) = grown
-        assert with_manifest == without and warned_bare and not warned
-        arguments = read_manifest(bare.parent / "grown.vec")["arguments"]
-        assert (arguments["lam"], arguments["alpha"], arguments["cap"]) == (0.1, 0.5, None)
+        capsys.readouterr()
+        out = bare.parent / "grown.vec"
+        assert main(["factorize-noncore", *data, "--core-vec", str(bare), "--count", "6",
+                     "--mu", "1.0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"no {bare}.manifest.json: growth extends a pmivec solve" in err
+        assert "Errno" not in err
+        assert not out.exists()
 
     def test_counts_other_than_the_core_solve_are_data_error(self, small_pipeline, tmp_path, capsys):
+        bigrams, unigrams = small_pipeline["bigrams"], small_pipeline["unigrams"]
         # same corpus and vocabulary, window 5 instead of the core's window 2
         bi5 = tmp_path / "bigrams5.txt"
         assert main(["count-bigrams", "--input", str(small_pipeline["corpus"]),
-                     "--unigrams", str(small_pipeline["unigrams"]), "--window", "5",
-                     "--out", str(bi5)]) == 0
-        uni = ["--unigrams", str(small_pipeline["unigrams"])]
+                     "--unigrams", str(unigrams), "--window", "5", "--out", str(bi5)]) == 0
+        # the same words and counts under another token total
+        header, rest = unigrams.read_text().split("\n", 1)
+        uni2 = tmp_path / "unigrams2.txt"
+        uni2.write_text(f"#total {int(header.split()[1]) + 1}\n{rest}")
         core, out = tmp_path / "core.vec", tmp_path / "grown.vec"
-        assert main(["factorize-core", "--bigrams", str(small_pipeline["bigrams"]), *uni,
+        assert main(["factorize-core", "--bigrams", str(bigrams), "--unigrams", str(unigrams),
                      "--core-size", "10", "--dim", "4", "--out", str(core)]) == 0
-        recorded = read_manifest(core)["weight_normalizer"]
-        assert read_manifest(core)["weight_normalizer_words"] == 10
-        capsys.readouterr()
-        code = main(["factorize-noncore", "--bigrams", str(bi5), *uni, "--core-vec", str(core),
-                     "--count", "4", "--mu", "1.0", "--out", str(out)])
-        assert code == 2
-        err = capsys.readouterr().err
-        vocab = load_unigrams(small_pipeline["unigrams"])
-        found = PmiRows(np.arange(10), load_bigrams(bi5, vocab), PmiConfig(), normalizer=None).normalizer
-        assert found != recorded
-        assert repr(recorded) in err and repr(found) in err
-        assert not out.exists()
-        # a growth call that regresses on fewer words has another scale by design
-        assert main(["factorize-noncore", "--bigrams", str(bi5), *uni, "--core-vec", str(core),
-                     "--core-size", "8", "--count", "4", "--mu", "1.0", "--out", str(out)]) == 0
+        recorded = read_manifest(core)["counts_sha256"]
+        assert recorded == {"bigrams": file_sha256(bigrams), "unigrams": file_sha256(unigrams)}
+        # fewer regression words than the core solve had change nothing: the
+        # digests are checked whatever the scale of the columns
+        for bi, uni, extra in [(bi5, unigrams, []), (bi5, unigrams, ["--core-size", "8"]),
+                               (bigrams, uni2, [])]:
+            capsys.readouterr()
+            code = main(["factorize-noncore", "--bigrams", str(bi), "--unigrams", str(uni),
+                         "--core-vec", str(core), *extra, "--count", "4", "--mu", "1.0",
+                         "--out", str(out)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert str(bi) in err and str(uni) in err and "core.vec.manifest.json" in err
+            for digest in (file_sha256(bi), file_sha256(uni), *recorded.values()):
+                assert digest in err
+            assert not out.exists()
 
     def test_growth_chain_takes_weighting_from_manifest(self, small_pipeline, tmp_path):
         data = ["--bigrams", str(small_pipeline["bigrams"]),
@@ -506,12 +507,54 @@ class TestFactorizeNoncore:
         direct_growth(small_pipeline, core, PmiConfig(0.2, 0.75, 0.01),
                       [(range(10, 15), 1.0), (range(15, 20), 2.0)], direct)
         assert stage2.read_bytes() == direct.read_bytes()
-        # each stage records the weighting and the normalizer of its regression
-        # columns, and the chain recomputes the same values
+        # each stage records the weighting, the normalizer of its regression
+        # columns and the digests of the count files; the chain carries them
         recorded = {(m["arguments"]["lam"], m["arguments"]["alpha"], m["arguments"]["cap"],
-                     m["weight_normalizer"], m["weight_normalizer_words"])
+                     m["weight_normalizer"], tuple(sorted(m["counts_sha256"].items())))
                     for m in map(read_manifest, (core, stage1, stage2))}
         assert len(recorded) == 1 and next(iter(recorded))[:3] == (0.2, 0.75, 0.01)
+        assert dict(next(iter(recorded))[4]) == {
+            "bigrams": file_sha256(small_pipeline["bigrams"]),
+            "unigrams": file_sha256(small_pipeline["unigrams"])}
+
+    @pytest.mark.parametrize("companion", [True, False], ids=["companion", "text"])
+    def test_each_stage_hashes_the_bigram_text_once(self, small_pipeline, tmp_path, monkeypatch,
+                                                    companion):
+        bigrams = tmp_path / "bigrams.txt"
+        bigrams.write_bytes(small_pipeline["bigrams"].read_bytes())
+        if companion:
+            Path(companion_path(bigrams)).write_bytes(
+                Path(companion_path(small_pipeline["bigrams"])).read_bytes())
+        hashed = []  # the bytes fed to each SHA-256 computation
+        real = pmivec.ioutil.sha256
+
+        class CountingSha256:
+            def __init__(self, data=b""):
+                self.inner, self.fed = real(data), bytearray(data)
+                hashed.append(self.fed)
+
+            def update(self, data):
+                self.inner.update(data)
+                self.fed += data
+
+            def digest(self):
+                return self.inner.digest()
+
+            def hexdigest(self):
+                return self.inner.hexdigest()
+
+        for module in (pmivec.ioutil, pmivec.corpus):
+            monkeypatch.setattr(module, "sha256", CountingSha256)
+        data = ["--bigrams", str(bigrams), "--unigrams", str(small_pipeline["unigrams"])]
+        core = tmp_path / "core.vec"
+        text = bigrams.read_bytes()
+        for argv in (["factorize-core", *data, "--core-size", "10", "--dim", "4"],
+                     ["factorize-noncore", *data, "--core-vec", str(core), "--count", "4",
+                      "--mu", "1.0"]):
+            hashed.clear()
+            out = core if argv[0] == "factorize-core" else tmp_path / "grown.vec"
+            assert main([*argv, "--out", str(out)]) == 0
+            assert sum(fed == text for fed in hashed) == 1, argv[0]
 
 
 class TestEvaluate:

@@ -434,3 +434,12 @@ class TestConfigValidation:
                              ids=["float64", "float32", "int64"])
     def test_numpy_tol_accepted(self, tol):
         assert CoreSolveConfig(2, tol=tol).tol == tol
+
+    @pytest.mark.parametrize("field", ["dim", "max_iters"])
+    @pytest.mark.parametrize("value", [2.5, True, "3"], ids=["fraction", "bool", "text"])
+    def test_whole_number_settings(self, field, value):
+        settings = {"dim": 2, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            CoreSolveConfig(**settings)
+        settings[field] = np.int64(3)
+        assert getattr(CoreSolveConfig(**settings), field) == 3

@@ -127,6 +127,13 @@ class TestCountUnigrams:
         with pytest.raises(ValueError):
             count_unigrams(iter(["a"]), min_count=0)
 
+    @pytest.mark.parametrize("value", [1.5, True, "3"], ids=["fraction", "bool", "text"])
+    def test_min_count_must_be_an_integer(self, value):
+        # 1.5 used to act as 2
+        with pytest.raises(ValueError, match="min_count must be an integer"):
+            count_unigrams(iter(["a", "a", "b"]), min_count=value)
+        assert count_unigrams(iter(["a", "a", "b"]), min_count=np.int64(2)).words == ["a"]
+
     def test_doc_breaks_not_counted(self):
         vocab = count_unigrams(iter(["a", DOC_BREAK, "a"]))
         assert vocab.counts == [2] and vocab.total_tokens == 2
@@ -184,6 +191,18 @@ class TestCountBigrams:
         vocab = count_unigrams(iter(["a", "b"]), min_count=3)
         with pytest.raises(ValueError):
             count_bigrams(iter(["a", "b"]), vocab, 1)
+
+    @pytest.mark.parametrize("value", [1.5, True, "3"], ids=["fraction", "bool", "text"])
+    def test_window_must_be_an_integer(self, value):
+        tokens = ["a", "b", "a", "c"]
+        vocab = count_unigrams(iter(tokens))
+        with pytest.raises(ValueError, match="window must be an integer"):
+            count_bigrams(iter(tokens), vocab, value)
+        table = count_bigrams(iter(tokens), vocab, np.int64(2))
+        with pytest.raises(ValueError, match="window must be an integer"):
+            CooccurrenceTable(value, vocab, table.indptr, table.indices, table.counts)
+        assert CooccurrenceTable(np.int64(2), vocab, table.indptr, table.indices,
+                                 table.counts) == table
 
     def test_vocabulary_too_wide_for_int32_pair_keys(self):
         # 50,000 words: i * n + j overflows int32 for the last words
@@ -255,6 +274,19 @@ class TestUnigramFiles:
         path = tmp_path / "bad.txt"
         path.write_text("a\t3\n")
         with pytest.raises(ParseError, match=r"bad.txt:1"):
+            load_unigrams(path)
+
+    @pytest.mark.parametrize("text,where", [
+        ("#total many\na\t3\n", "bad.txt:1: total token count is not an integer"),
+        ("#total -1\na\t3\n", "bad.txt:1: total token count is negative"),
+        ("#total 5\na\t3\nb\t1\tx\n", "bad.txt:3: expected 'word<TAB>count'"),
+        ("#total 5\na\t3\nb 1\n", "bad.txt:3: expected 'word<TAB>count'"),
+        ("#total 5\na\t2\nb\t3\n", "bad.txt:3: counts are not sorted non-increasing"),
+    ], ids=["total-text", "total-negative", "three-fields", "one-field", "increasing"])
+    def test_parse_errors_name_the_line(self, tmp_path, text, where):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=where):
             load_unigrams(path)
 
 
@@ -330,6 +362,24 @@ class TestBigramFiles:
         path = tmp_path / "bad.txt"
         path.write_text("#window 2\nzebra\t1\n\ta:1\n")
         with pytest.raises(ParseError, match="unknown word"):
+            load_bigrams(path, vocab)
+
+    @pytest.mark.parametrize("text,where", [
+        ("#window 0\n", "bad.txt:1: window must be at least 1"),
+        ("#window 2\n\tb:1\n", "bad.txt:2: context line before any record"),
+        ("#window 2\na\t1\n\tb1\n", "bad.txt:3: expected '<TAB>context:count'"),
+        ("#window 2\na\t1\n\tzebra:1\n", "bad.txt:3: unknown context word 'zebra'"),
+        ("#window 2\na\t2\n\tb:1\n\tb:1\n", "bad.txt:4: duplicate context 'b'"),
+        ("#window 2\na\t5\n\tb:1\nb\t1\n\ta:1\n",
+         "bad.txt:4: row total does not match its context counts"),
+        ("#window 2\na\t1\n\tb:1\na\t1\n\tc:1\n", "bad.txt:4: duplicate word 'a'"),
+    ], ids=["window-zero", "context-first", "no-colon", "unknown-context", "duplicate-context",
+            "total-at-next-record", "duplicate-word"])
+    def test_parse_errors_name_the_line(self, tmp_path, vocab_and_table, text, where):
+        vocab, _ = vocab_and_table
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=where):
             load_bigrams(path, vocab)
 
 

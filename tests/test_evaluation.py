@@ -341,6 +341,27 @@ class TestLoaders:
         with pytest.raises(ParseError, match="4 candidates"):
             load_choice(path)
 
+    @pytest.mark.parametrize("line", ["a\tb", "a\tb\t1.0\tc"], ids=["two", "four"])
+    def test_similarity_wrong_field_count(self, tmp_path, line):
+        path = tmp_path / "t.sim.tsv"
+        path.write_text(f"a\tb\t1.0\n{line}\nc\td\t2.0\n")
+        with pytest.raises(ParseError, match=r"t.sim.tsv:2: expected 'word1<TAB>word2<TAB>score'"):
+            load_similarity(path)
+
+    @pytest.mark.parametrize("line", ["probe | aa bb cc dd", "probe | aa bb cc dd | 0 | 1"],
+                             ids=["two", "four"])
+    def test_choice_wrong_field_count(self, tmp_path, line):
+        path = tmp_path / "t.mc.txt"
+        path.write_text(f"probe | aa bb cc dd | 1\n{line}\n")
+        with pytest.raises(ParseError, match=r"t.mc.txt:2: expected 'probe \| c1"):
+            load_choice(path)
+
+    def test_choice_answer_not_an_integer(self, tmp_path):
+        path = tmp_path / "t.mc.txt"
+        path.write_text("probe | aa bb cc dd | 1\nprobe | aa bb cc dd | 1.5\n")
+        with pytest.raises(ParseError, match=r"t.mc.txt:2: answer index '1.5' is not an integer"):
+            load_choice(path)
+
 
 class TestReportFormatting:
     def test_table_and_keyvalues(self):
