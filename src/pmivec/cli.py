@@ -137,6 +137,8 @@ def cmd_factorize_core(args) -> None:
                 "iterations": diag.iterations,
                 "converged": diag.converged,
                 "method": diag.method,
+                "omegas": diag.omegas,
+                "rejected": diag.rejected,
             },
             "weight_normalizer": normalizer,
             "counts_sha256": digests,

@@ -6,14 +6,19 @@ classic majorization step applies: impute the unobserved part of the target
 from the current iterate, then truncate to the best rank-d PSD matrix: by a
 full eigendecomposition up to 4(d + 16) words, above that by Rayleigh-Ritz on
 a block-Krylov space started from the first d + 16 columns, then from the last
-sweep's Ritz vectors.  Each sweep can only lower the weighted residual (the
-previous iterate stays feasible), so the solve needs no step size or randomness.
+sweep's Ritz vectors.  A plain sweep can only lower the weighted residual (the
+previous iterate stays feasible).  From the third sweep the imputation step is
+over-relaxed by a factor that grows while sweeps pay off; a relaxed sweep that
+does not lower the residual is undone and the factor falls back to 1 (the
+adaptive over-relaxed bound optimization of Salakhutdinov & Roweis, ICML 2003).
+The solve needs no tuning or randomness.
 
 Dense memory, for an n-word block: the caller's target and weights, each used
 as it is when it is exactly symmetric (else one averaged copy), plus two n x n
 arrays of the solve: the iterate, whose buffer also holds the Krylov basis
 between the imputation and ``F F^T``, and the work block (the imputed block,
-then the residual terms).  The Rayleigh-Ritz matrix, at most min(n, 9(d + 16))
+then the residual terms).  An undone sweep rebuilds the iterate from the last
+accepted n x d factor.  The Rayleigh-Ritz matrix, at most min(n, 5(d + 16))
 square, is filled from the Gram-Schmidt coefficients of the Krylov blocks.
 """
 
@@ -41,7 +46,10 @@ class CoreSolveConfig:
 
 
 #: Oversampling of the first Krylov block, and block steps of the first and later sweeps.
-_OVERSAMPLE, _FIRST_STEPS, _WARM_STEPS = 16, 8, 2
+_OVERSAMPLE, _FIRST_STEPS, _WARM_STEPS = 16, 4, 1
+#: Over-relaxation: the factor on the imputation step after each accepted sweep
+#: from the second on, and its cap.
+_OMEGA_GROWTH, _OMEGA_MAX = 1.5, 64.0
 #: Singular values of a projected Krylov block below this fraction of its longest
 #: column before projection lie in the space so far (the Gram matrix rounds at ~1e-8).
 _DEFLATE = 1e-6
@@ -49,12 +57,16 @@ _DEFLATE = 1e-6
 
 @dataclass
 class SolveDiagnostics:
-    """Weighted residual at the zero start and after every sweep, and the truncation used."""
+    """Weighted residual at the zero start and after every sweep, the truncation
+    used, the over-relaxation factor of every sweep and the rejected sweeps
+    (numbered from 1), whose residual repeats the one before."""
 
     residuals: list[float]
     iterations: int
     converged: bool
     method: str  # "eigh" (exact) or "block-krylov"
+    omegas: list[float]
+    rejected: list[int]
 
 
 def weighted_frobenius(target, approx, weights) -> float:
@@ -183,6 +195,14 @@ def em_factorize(
     symmetric target the averaged weights give the same objective.  Returns
     the (n, dim) factor whose rows are the word vectors, plus per-sweep
     diagnostics.
+
+    The first two sweeps impute ``weights * target + (1 - weights) * approx``.
+    Each later one takes ``omega`` times that step from ``approx``, with
+    ``omega`` growing 1.5-fold after every accepted sweep up to 64.  Such a
+    sweep is accepted only when it lowers the residual by more than
+    ``cfg.tol`` of it.  Otherwise the last accepted factor is kept, its residual
+    is recorded again, and the next sweep is plain.  A rejected sweep counts
+    toward ``cfg.max_iters`` and never ends the solve as converged.
     """
     target = np.asarray(target, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -209,26 +229,40 @@ def em_factorize(
         np.square(work, out=work)
         return float(np.sum(np.multiply(work, weights, out=work)))
 
-    residuals = [residual()]
+    residuals, omegas, rejected = [residual()], [], []
     converged = False
-    iterations = 0
-    for _ in range(cfg.max_iters):
-        # work = weights * target + (1 - weights) * approx, without temporaries
-        np.subtract(1.0, weights, out=work)
+    omega, factor, basis = 1.0, None, None  # the last accepted factor and Ritz basis
+    for sweep in range(1, cfg.max_iters + 1):
+        # work = (1 - omega weights) * approx + omega weights * target, without temporaries
+        np.multiply(weights, -omega, out=work)
+        work += 1.0
         work *= approx
         np.multiply(weights, target, out=approx)
+        if omega != 1.0:
+            approx *= omega
         work += approx
+        trial_basis = None
         if method == "eigh":
-            factor, approx = psd_truncate(work, cfg.dim)
+            trial, approx = psd_truncate(work, cfg.dim)
         else:  # the first sweep starts from the most frequent words' columns; the
             # Krylov basis lives in the iterate's buffer, idle until F F^T overwrites it
-            start, steps = (basis, _WARM_STEPS) if iterations else (work[:, :cfg.dim + _OVERSAMPLE], _FIRST_STEPS)
-            factor, basis = _ritz_psd_factor(work, start, steps, cfg.dim, approx, bool(iterations))
+            start, steps = (work[:, :cfg.dim + _OVERSAMPLE], _FIRST_STEPS) if basis is None else (basis, _WARM_STEPS)
+            trial, trial_basis = _ritz_psd_factor(work, start, steps, cfg.dim, approx, basis is not None)
+            np.matmul(trial, trial.T, out=approx)
+        omegas.append(omega)
+        previous, current = residuals[-1], residual()
+        if omega > 1.0 and not current < previous - cfg.tol * previous:
+            # the over-relaxed step did not pay: restart plain from the last accepted factor
             np.matmul(factor, factor.T, out=approx)
-        residuals.append(residual())
-        iterations += 1
-        previous, current = residuals[-2], residuals[-1]
+            residuals.append(previous)
+            rejected.append(sweep)
+            omega = 1.0
+            continue
+        residuals.append(current)
+        factor, basis = trial, trial_basis
         if previous == 0.0 or abs(previous - current) <= cfg.tol * previous:
             converged = True
             break
-    return factor, SolveDiagnostics(residuals, iterations, converged, method)
+        if sweep >= 2:
+            omega = min(_OMEGA_GROWTH * omega, _OMEGA_MAX)
+    return factor, SolveDiagnostics(residuals, len(omegas), converged, method, omegas, rejected)

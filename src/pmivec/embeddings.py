@@ -28,6 +28,8 @@ class EmbeddingSet:
             raise ValueError("vectors contain non-finite entries")
         self.index = {}
         for k, w in enumerate(self.words):
+            if w.split() != [w]:  # save_vec could not write it as one field
+                raise ValueError(f"word {w!r} is empty or holds whitespace")
             if w in self.index:
                 raise ValueError(f"duplicate word {w!r}")
             self.index[w] = k

@@ -160,8 +160,9 @@ def eval_analogy_3cosmul(emb: EmbeddingSet, testset: AnalogyTestset, name: str =
 def eval_choice(emb: EmbeddingSet, testset: ChoiceTestset, name: str = "choice") -> EvalReport:
     """Accuracy of picking the candidate closest to the probe by cosine.
 
-    Out-of-vocabulary candidates score -inf; an item is skipped only when
-    its probe is out of vocabulary.
+    Out-of-vocabulary candidates score -inf and are never picked; an item
+    is skipped only when its probe is out of vocabulary, so one whose
+    candidates are all out of vocabulary counts as answered wrong.
     """
     unit, usable = _unit_rows(emb)
     covered = 0
@@ -175,7 +176,8 @@ def eval_choice(emb: EmbeddingSet, testset: ChoiceTestset, name: str = "choice")
         for c in candidates:
             k = emb.index.get(c)
             scores.append(float(unit[k] @ unit[p]) if k is not None and usable[k] else -np.inf)
-        if int(np.argmax(scores)) == answer:
+        pick = int(np.argmax(scores))
+        if pick == answer and np.isfinite(scores[pick]):
             correct += 1
     accuracy = correct / covered if covered else 0.0
     return EvalReport(name, "choice", accuracy, len(testset.items), covered)

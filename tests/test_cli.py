@@ -17,7 +17,7 @@ from pmivec.corpus import companion_path, count_unigrams, load_bigrams, load_uni
 from pmivec.embeddings import EmbeddingSet, load_vec, save_vec
 from pmivec.incremental import solve_words
 from pmivec.ioutil import atomic_write, file_sha256
-from pmivec.statistics import PmiConfig, PmiRows
+from pmivec.statistics import PmiConfig, PmiRows, pmi_block
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -200,6 +200,24 @@ class TestFactorizeCore:
         assert len(emb) == 12 and emb.dim == 5
         residuals = read_manifest(out)["diagnostics"]["residuals"]
         assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
+
+    def test_manifest_records_relaxation(self, small_pipeline, tmp_path):
+        out = tmp_path / "core.vec"
+        assert main([
+            "factorize-core", "--bigrams", str(small_pipeline["bigrams"]),
+            "--unigrams", str(small_pipeline["unigrams"]),
+            "--core-size", "20", "--dim", "5", "--out", str(out),
+        ]) == 0
+        diagnostics = read_manifest(out)["diagnostics"]
+        omegas, rejected, residuals = diagnostics["omegas"], diagnostics["rejected"], diagnostics["residuals"]
+        assert len(omegas) == diagnostics["iterations"] and omegas[:3] == [1.0, 1.0, 1.5]
+        assert rejected and all(omegas[s - 1] > 1.0 and residuals[s] == residuals[s - 1] for s in rejected)
+        assert all(b <= a for a, b in zip(residuals, residuals[1:]))
+        # the last value is the residual of the written vectors (6 significant digits)
+        table = load_bigrams(small_pipeline["bigrams"], load_unigrams(small_pipeline["unigrams"]))
+        pmi, weights, _ = pmi_block(range(20), range(20), table, PmiConfig())
+        v = load_vec(out).vectors
+        assert np.sum(weights * (pmi - v @ v.T) ** 2) == pytest.approx(residuals[-1], rel=1e-4)
 
     @pytest.mark.parametrize("core,method", [(12, "eigh"), (68, "eigh"), (69, "block-krylov")])
     def test_manifest_names_solver_method(self, tmp_path, core, method):

@@ -31,14 +31,32 @@ def projected_gradient_oracle(target, weights, dim, steps=500):
     return x
 
 
-def exact_em_oracle(target, weights, dim, sweeps):
-    """The EM loop with a full eigendecomposition in every sweep."""
+def exact_em_oracle(target, weights, dim, sweeps, tol=1e-14, growth=1.5):
+    """The over-relaxed EM loop with a full eigendecomposition in every sweep.
+
+    From the third sweep the imputation step is ``omega`` times the plain one;
+    ``omega`` grows by ``growth`` after every accepted sweep, up to 64, and
+    falls back to 1 when a relaxed sweep does not lower the residual by more
+    than ``tol`` of it, which keeps the previous factor.  ``growth=1`` is
+    plain EM.
+    """
     target = (target + target.T) / 2.0
     approx = np.zeros_like(target)
     residuals = [weighted_frobenius(target, approx, weights)]
-    for _ in range(sweeps):
-        factor, approx = psd_truncate(weights * target + (1.0 - weights) * approx, dim)
-        residuals.append(weighted_frobenius(target, approx, weights))
+    omega = 1.0
+    for sweep in range(1, sweeps + 1):
+        imputed = (1.0 - omega * weights) * approx + (weights * target) * omega
+        trial, trial_approx = psd_truncate(imputed, dim)
+        current = weighted_frobenius(target, trial_approx, weights)
+        if omega > 1.0 and not current < residuals[-1] - tol * residuals[-1]:
+            approx = factor @ factor.T
+            residuals.append(residuals[-1])
+            omega = 1.0
+            continue
+        factor, approx = trial, trial_approx
+        residuals.append(current)
+        if sweep >= 2:
+            omega = min(growth * omega, 64.0)
     return factor, residuals
 
 
@@ -61,6 +79,16 @@ def random_instance(rng, n, d, noise=0.3):
     w = rng.uniform(0.0, 1.0, size=(n, n))
     w = (w + w.T) / 2.0
     return g, w
+
+
+def pmi_like_instance(rng, n, d):
+    """``random_instance``'s target with weights ``sqrt(p_i p_j)``, ``p_k = 1/k``:
+    a few large weights and many small ones, as a PMI block's, where plain EM
+    steps are far too short."""
+    g = random_instance(rng, n, d)[0]
+    p = 1.0 / np.arange(1.0, n + 1.0)
+    w = np.sqrt(np.outer(p, p))
+    return g, w / w.max()
 
 
 class TestWeightedFrobenius:
@@ -358,6 +386,40 @@ class TestBlockKrylov:
             tracemalloc.stop()
         assert diag.method == "block-krylov"
         assert peak / (8 * n * n) <= 3.25
+
+
+class TestOverRelaxation:
+    """Sweeps from the third on take a growing multiple of the EM step; one that
+    does not pay is undone."""
+
+    @pytest.mark.parametrize("n", [100, 300], ids=["eigh", "block-krylov"])
+    def test_rejected_sweep_keeps_the_last_factor(self, n):
+        g, w = pmi_like_instance(np.random.default_rng(0), n, 10)
+        cfg = CoreSolveConfig(10, max_iters=15)
+        _, diag = em_factorize(g, w, cfg)
+        assert diag.method == ("eigh" if n == 100 else "block-krylov")
+        assert len(diag.rejected) == 1 and len(diag.omegas) == diag.iterations == 15
+        sweep = diag.rejected[0]
+        assert diag.omegas[:2] == [1.0, 1.0] and diag.omegas[sweep - 1] > 1.0
+        assert diag.omegas[sweep] == 1.0  # the sweep after a rejection is plain
+        assert diag.residuals[sweep] == diag.residuals[sweep - 1]
+        assert all(b <= a for a, b in zip(diag.residuals, diag.residuals[1:]))
+        # a solve that ends on the rejected sweep returns the one before's factor
+        cut = CoreSolveConfig(10, max_iters=sweep)
+        factor, cut_diag = em_factorize(g, w, cut)
+        kept, kept_diag = em_factorize(g, w, CoreSolveConfig(10, max_iters=sweep - 1))
+        assert cut_diag.rejected == [sweep] and kept_diag.rejected == []
+        assert factor.tobytes() == kept.tobytes()
+        assert cut_diag.residuals[-1] == kept_diag.residuals[-1]
+        assert weighted_frobenius(g, factor @ factor.T, w) == pytest.approx(cut_diag.residuals[-1], rel=1e-12)
+
+    @pytest.mark.parametrize("n,d", [(100, 10), (300, 10), (400, 25), (600, 20)])
+    def test_faster_than_plain_em(self, n, d):
+        g, w = pmi_like_instance(np.random.default_rng(1), n, d)
+        _, diag = em_factorize(g, w, CoreSolveConfig(d, max_iters=15))
+        assert diag.iterations == 15
+        _, plain = exact_em_oracle(g, w, d, 15, growth=1.0)
+        assert diag.residuals[-1] <= 0.5 * plain[-1]
 
 
 class TestAppendBlock:

@@ -16,6 +16,11 @@ class TestEmbeddingSet:
         with pytest.raises(ValueError, match="duplicate"):
             EmbeddingSet(["a", "a"], np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("word", ["new york", "", "tab\tword", "line\n"])
+    def test_word_save_vec_cannot_write_rejected(self, word):
+        with pytest.raises(ValueError, match="empty or holds whitespace"):
+            EmbeddingSet(["a", word], np.zeros((2, 2)))
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             EmbeddingSet(["a"], np.array([[np.nan, 0.0]]))

@@ -257,6 +257,14 @@ class TestEvalChoice:
         report = eval_choice(emb, ts)
         assert report.metric == 1.0
 
+    @pytest.mark.parametrize("answer", [0, 2])
+    def test_all_candidates_oov_is_wrong(self, answer):
+        # every candidate scores -inf, so argmax's 0 is no answer at all
+        emb = EmbeddingSet(["probe", "x"], np.eye(2))
+        ts = ChoiceTestset((("probe", ("qa", "qb", "qc", "qd"), answer),))
+        report = eval_choice(emb, ts)
+        assert report.metric == 0.0 and report.items_covered == 1
+
 
 class TestScaleInvariance:
     def test_all_metrics_survive_positive_scaling(self):
