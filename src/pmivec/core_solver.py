@@ -47,8 +47,8 @@ class CoreSolveConfig:
 
 #: Oversampling of the first Krylov block, and block steps of the first and later sweeps.
 _OVERSAMPLE, _FIRST_STEPS, _WARM_STEPS = 16, 4, 1
-#: Over-relaxation: the factor on the imputation step after each accepted sweep
-#: from the second on, and its cap.
+#: Over-relaxation: omega grows by this factor after each accepted sweep from
+#: the second on, up to the cap.
 _OMEGA_GROWTH, _OMEGA_MAX = 1.5, 64.0
 #: Singular values of a projected Krylov block below this fraction of its longest
 #: column before projection lie in the space so far (the Gram matrix rounds at ~1e-8).

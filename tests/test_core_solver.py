@@ -38,7 +38,7 @@ def exact_em_oracle(target, weights, dim, sweeps, tol=1e-14, growth=1.5):
     ``omega`` grows by ``growth`` after every accepted sweep, up to 64, and
     falls back to 1 when a relaxed sweep does not lower the residual by more
     than ``tol`` of it, which keeps the previous factor.  ``growth=1`` is
-    plain EM.
+    plain EM.  The default ``tol`` is that of the callers' configs.
     """
     target = (target + target.T) / 2.0
     approx = np.zeros_like(target)
@@ -307,7 +307,7 @@ class TestBlockKrylov:
         cfg = CoreSolveConfig(dim, max_iters=6, tol=1e-14)
         factor, diag = em_factorize(g[:edge, :edge], w[:edge, :edge], cfg)
         assert diag.method == "eigh"
-        expected, residuals = exact_em_oracle(g[:edge, :edge], w[:edge, :edge], dim, diag.iterations)
+        expected, residuals = exact_em_oracle(g[:edge, :edge], w[:edge, :edge], dim, diag.iterations, cfg.tol)
         np.testing.assert_array_equal(factor, expected)
         assert diag.residuals == residuals
         assert em_factorize(g, w, cfg)[1].method == "block-krylov"
@@ -395,8 +395,7 @@ class TestOverRelaxation:
     @pytest.mark.parametrize("n", [100, 300], ids=["eigh", "block-krylov"])
     def test_rejected_sweep_keeps_the_last_factor(self, n):
         g, w = pmi_like_instance(np.random.default_rng(0), n, 10)
-        cfg = CoreSolveConfig(10, max_iters=15)
-        _, diag = em_factorize(g, w, cfg)
+        _, diag = em_factorize(g, w, CoreSolveConfig(10, max_iters=15))
         assert diag.method == ("eigh" if n == 100 else "block-krylov")
         assert len(diag.rejected) == 1 and len(diag.omegas) == diag.iterations == 15
         sweep = diag.rejected[0]
