@@ -209,14 +209,14 @@ def cmd_factorize_noncore(args) -> None:
             file=sys.stderr,
         )
     solve_start = time.perf_counter()
-    vectors = np.empty((len(new), base.dim))
+    vectors = np.empty((new.stop, base.dim))  # the stored rows, then one per solved word
+    vectors[:len(base)] = base.vectors
     degeneracies = 0
-    stream = solve_words(base.vectors[:core_size], rows_of, new, args.mu)
-    for pos, (_, vector, degenerate) in enumerate(stream):
-        vectors[pos] = vector
+    for i, vector, degenerate in solve_words(vectors[:core_size], rows_of, new, args.mu):
+        vectors[i] = vector
         degeneracies += degenerate
     seconds = time.perf_counter() - solve_start
-    merged = EmbeddingSet(vocab.words[:new.stop], np.vstack([base.vectors, vectors]))
+    merged = EmbeddingSet(vocab.words[:new.stop], vectors)
     save_vec(merged, args.out)
     report = {"words": len(new), "mu": args.mu, "degeneracies": degeneracies,
               "seconds": round(seconds, 6)}

@@ -251,11 +251,14 @@ def em_factorize(
             np.matmul(trial, trial.T, out=approx)
         omegas.append(omega)
         previous, current = residuals[-1], residual()
-        if omega > 1.0 and not current < previous - cfg.tol * previous:
-            # the over-relaxed step did not pay: restart plain from the last accepted factor
-            np.matmul(factor, factor.T, out=approx)
+        if sweep > 1 and not current < previous - (cfg.tol * previous if omega > 1.0 else 0.0):
             residuals.append(previous)
             rejected.append(sweep)
+            if omega == 1.0:  # a plain sweep only fails to descend at rounding level
+                converged = True
+                break
+            # the over-relaxed step did not pay: restart plain from the last accepted factor
+            np.matmul(factor, factor.T, out=approx)
             omega = 1.0
             continue
         residuals.append(current)

@@ -372,6 +372,20 @@ class TestBlockKrylov:
         _, exact = exact_em_oracle(pmi, weights, d, diag.iterations)
         assert diag.residuals[-1] <= exact[-1] * 1.001
 
+    @pytest.mark.parametrize("n,d", [(300, 10), (400, 20), (600, 10)])
+    def test_exact_low_rank_converges_at_rounding_level(self, n, d):
+        # sweep 1 recovers v v^T; later sweeps only move rounding noise, and the
+        # first plain one that does not descend is undone and ends the solve
+        v = np.random.default_rng(1).normal(size=(n, d))
+        g = v @ v.T
+        factor, diag = em_factorize(g, np.ones_like(g), CoreSolveConfig(d))
+        assert diag.method == "block-krylov"
+        assert diag.converged and diag.rejected[-1] == diag.iterations <= 4
+        assert diag.omegas[-1] == 1.0 and diag.residuals[-1] == diag.residuals[-2]
+        assert all(b <= a for a, b in zip(diag.residuals, diag.residuals[1:]))
+        assert diag.residuals[-1] < 1e-12 * diag.residuals[0]
+        np.testing.assert_allclose(factor @ factor.T, g, atol=1e-10 * np.abs(g).max())
+
     def test_memory_budget(self):
         # beyond its inputs the solve holds the iterate and the work block,
         # whose Krylov basis and Ritz matrix add well under one n x n array

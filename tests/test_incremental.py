@@ -176,6 +176,79 @@ class TestBatchConsistency:
 
 
 @pytest.fixture(scope="module")
+def wide_growth():
+    """320 core words at d = 20 and 200 words to grow: several groups, and
+    products large enough for BLAS to tile them."""
+    rng = np.random.default_rng(16)
+    vocab, table = synthetic_setup(rng, 520, reps=40_000)
+    assert len(vocab) == 520
+    c = 320
+    rows_of = PmiRows(np.arange(c), table, PmiConfig(0.1), normalizer=None)
+    return rng.normal(size=(c, 20)), rows_of, range(c, c + 200)
+
+
+def solved(core, rows_of, order, mu=2.0):
+    return {i: vec for i, vec, _ in solve_words(core, rows_of, order, mu)}
+
+
+class TestGroupSolve:
+    def test_bits_do_not_depend_on_the_other_words(self, wide_growth):
+        core, rows_of, words = wide_growth
+        whole = solved(core, rows_of, words)
+        assert list(whole) == list(words)
+        requests = {
+            f"chunks of {size}": [words[k:k + size] for k in range(0, len(words), size)]
+            for size in (37, 100)
+        }
+        requests["one at a time"] = [[i] for i in words]
+        requests["reversed"] = [words[::-1]]
+        for name, calls in requests.items():
+            got = {}
+            for call in calls:
+                got.update(solved(core, rows_of, call))
+            for i in words:
+                np.testing.assert_array_equal(got[i], whole[i], err_msg=f"{name}: word {i}")
+
+    def test_colliding_rows_start_a_new_group(self, wide_growth):
+        # words i and i + 64 share a row of the group products
+        core, rows_of, words = wide_growth
+        whole = solved(core, rows_of, words)
+        order = [i for k in range(64) for i in (words[k], words[k + 64])] + list(words[128:])
+        got = list(solve_words(core, rows_of, order, 2.0))
+        assert [i for i, _, _ in got] == order
+        for i, vec, _ in got:
+            np.testing.assert_array_equal(vec, whole[i], err_msg=f"word {i}")
+
+    def test_one_word_solve_agrees_and_solves_the_normal_equations(self, wide_growth):
+        core, rows_of, words = wide_growth
+        group = list(words[:70])
+        g, w = rows_of(group)
+        for (i, vec, degenerate), gk, wk in zip(solve_words(core, rows_of, group, 2.0), g, w):
+            assert not degenerate
+            alone = solve_noncore_word(gk, wk, core, 2.0)
+            assert np.linalg.norm(alone - vec) <= 1e-12 * np.linalg.norm(vec)
+            a = 2.0 * (core.T * wk) @ core + 2.0 * np.eye(core.shape[1])
+            b = 2.0 * core.T @ (wk * gk)
+            assert np.linalg.norm(a @ vec - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_unregularized_singular_rows_take_the_minimum_norm_answer(self, wide_growth):
+        core, rows_of, words = wide_growth
+        flat = core.copy()
+        flat[:, -1] = 0.0  # no core vector reaches the last dimension
+        group = list(words[:3])
+        g, w = rows_of(group)
+        for (i, vec, degenerate), gk, wk in zip(solve_words(flat, rows_of, group, 0.0), g, w):
+            assert degenerate
+            assert abs(vec[-1]) <= 1e-12 * np.linalg.norm(vec)
+            root = np.sqrt(wk)
+            fit = np.linalg.lstsq(flat[:, :-1] * root[:, None], root * gk, rcond=None)[0]
+            np.testing.assert_allclose(vec[:-1], fit, rtol=1e-8)
+            with pytest.warns(DegeneracyWarning):
+                alone = solve_noncore_word(gk, wk, flat, 0.0)
+            assert np.linalg.norm(alone - vec) <= 1e-10 * np.linalg.norm(vec)
+
+
+@pytest.fixture(scope="module")
 def growth_setup():
     rng = np.random.default_rng(9)
     vocab, table = synthetic_setup(rng, 8)
