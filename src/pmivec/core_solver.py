@@ -7,10 +7,12 @@ from the current iterate, then truncate to the best rank-d PSD matrix: by a
 full eigendecomposition up to 4(d + 16) words, above that by Rayleigh-Ritz on
 a block-Krylov space started from the first d + 16 columns, then from the last
 sweep's Ritz vectors.  A plain sweep can only lower the weighted residual (the
-previous iterate stays feasible).  From the third sweep the imputation step is
-over-relaxed by a factor that grows while sweeps pay off; a relaxed sweep that
-does not lower the residual is undone and the factor falls back to 1 (the
-adaptive over-relaxed bound optimization of Salakhutdinov & Roweis, ICML 2003).
+previous iterate stays feasible), so one after the first that does not has met
+rounding level: it is undone and ends the solve.  From the third sweep the
+imputation step is over-relaxed by a factor that grows while sweeps pay off; a
+relaxed sweep that does not lower the residual is undone and the factor falls
+back to 1 (the adaptive over-relaxed bound optimization of Salakhutdinov &
+Roweis, ICML 2003).
 The solve needs no tuning or randomness.
 
 Dense memory, for an n-word block: the caller's target and weights, each used
@@ -202,7 +204,10 @@ def em_factorize(
     sweep is accepted only when it lowers the residual by more than
     ``cfg.tol`` of it.  Otherwise the last accepted factor is kept, its residual
     is recorded again, and the next sweep is plain.  A rejected sweep counts
-    toward ``cfg.max_iters`` and never ends the solve as converged.
+    toward ``cfg.max_iters``.  A plain sweep after the first that does not
+    lower the residual at all is rejected too and ends the solve as
+    converged: in exact arithmetic it cannot raise the residual, so the solve
+    has reached rounding level.  A rejected relaxed sweep never ends it.
     """
     target = np.asarray(target, dtype=float)
     weights = np.asarray(weights, dtype=float)

@@ -7,20 +7,21 @@ symmetrized statistics are transposes of each other, so they fold into a
 factor 2 on the weighted least squares.  Blocks between two non-core words
 are never touched: they are too sparse to be worth fitting.
 
-Words are solved in groups of at most ``GROUP``.  Word ``i`` takes row
-``i % GROUP`` of two fixed-shape products: its weights times a packed table of
-the core vectors' pairwise products ``2 v_j[a] v_j[b]`` (a <= b) give the upper
-triangle of its normal matrix, its weighted row times the doubled core vectors
-its right-hand side.  The normal matrices are then solved ``_STACK`` at a time
-by one stacked LAPACK call.  BLAS rounds a product's row by the product's shape
-and the row's position only, so a word's vector depends on its own data alone:
-not on which other words are solved with it, or in what order.
+Words are solved in groups of at most 64.  Word ``i`` takes row ``i % 64``
+of two fixed-shape products: its weights times a packed table of the core
+vectors' pairwise products ``2 v_j[a] v_j[b]`` (a <= b) give the upper
+triangle of its normal matrix, its weighted row times the doubled core
+vectors its right-hand side.  The normal matrices are then solved 16 at a
+time by one stacked LAPACK call.  BLAS rounds a product's row by the
+product's shape and the row's position only, so a word's vector depends on
+its own data alone: not on which other words are solved with it, or in what
+order.
 
-Per call this costs O(c d^2) time and memory for the packed table, which is
-8 c d (d + 1) / 2 bytes (1 MB at c = 100, d = 50; 7.1 MB at c = 700).  Per
-group of 64 words it costs O(64 c d^2 + 64 d^3) time whatever the number of
-words in it, and its rows and buffers take O(64 (c + d^2)) memory, which does
-not grow with the vocabulary.
+Per call the packed table costs O(c d^2) time and 8 c d (d + 1) / 2 bytes
+(1 MB at c = 100, d = 50; 7.1 MB at c = 700).  Per group the two products
+cost O(64 c d^2) time however many words it holds, and every stack of 16 rows
+that holds a word one O(16 d^3) solve.  A group's rows and buffers take
+O(64 (c + d^2)) memory, which does not grow with the vocabulary.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import numpy as np
 from .ioutil import check_setting
 from .statistics import PmiRows
 
-#: Rows of every group product: word i sits at row i % GROUP.
-GROUP = 64
+#: Rows of every group product: word i sits at row i % _GROUP.
+_GROUP = 64
 #: Normal matrices assembled and solved by one stacked call.
 _STACK = 16
 
@@ -45,7 +46,7 @@ class DegeneracyWarning(UserWarning):
 
 
 class _GroupSolver:
-    """Ridge solutions of up to ``GROUP`` words, each at its own row, against
+    """Ridge solutions of up to ``_GROUP`` words, each at its own row, against
     fixed core vectors; every buffer is allocated once."""
 
     def __init__(self, core_vectors: np.ndarray, mu: float):
@@ -62,10 +63,10 @@ class _GroupSolver:
             np.multiply(self.twice[:, a, None], core_vectors[:, a:],
                         out=self.packed[:, off:off + d - a])
             off += d - a
-        self.weights = np.zeros((GROUP, c))
-        self.weighted = np.zeros((GROUP, c))
-        self.upper = np.empty((GROUP, self.packed.shape[1]))
-        self.rhs = np.empty((GROUP, d))
+        self.weights = np.zeros((_GROUP, c))
+        self.weighted = np.zeros((_GROUP, c))
+        self.upper = np.empty((_GROUP, self.packed.shape[1]))
+        self.rhs = np.empty((_GROUP, d))
         self.normal = np.empty((_STACK, d, d))
 
     def __call__(self, slots: np.ndarray, g: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -79,10 +80,10 @@ class _GroupSolver:
         self.weighted[slots] = w * g
         np.matmul(self.weights, self.packed, out=self.upper)
         np.matmul(self.weighted, self.twice, out=self.rhs)
-        solved = np.zeros((GROUP, d))  # a new array per group: callers keep views of its rows
-        degenerate = np.zeros(GROUP, dtype=bool)
+        solved = np.zeros((_GROUP, d))  # a new array per group: callers keep views of its rows
+        degenerate = np.zeros(_GROUP, dtype=bool)
         cells = self.normal.reshape(_STACK, d * d)
-        for q in range(0, GROUP, _STACK):
+        for q in range(0, _GROUP, _STACK):
             used = slots[(slots >= q) & (slots < q + _STACK)]
             if not used.size:
                 continue
@@ -98,14 +99,14 @@ class _GroupSolver:
 
 
 def _groups(words: Iterable) -> Iterator[list]:
-    """The longest runs of consecutive ``words`` whose rows ``i % GROUP`` differ."""
+    """The longest runs of consecutive ``words`` whose rows ``i % _GROUP`` differ."""
     group, taken = [], set()
     for i in words:
-        if i % GROUP in taken:
+        if i % _GROUP in taken:
             yield group
             group, taken = [], set()
         group.append(i)
-        taken.add(i % GROUP)
+        taken.add(i % _GROUP)
     if group:
         yield group
 
@@ -151,7 +152,7 @@ def solve_words(
     solve = _GroupSolver(np.asarray(core_vectors, dtype=float), mu)
     for group in _groups(word_indices):
         g, w = rows_of(group)
-        slots = np.array(group, dtype=np.int64) % GROUP
+        slots = np.array(group, dtype=np.int64) % _GROUP
         solved, degenerate = solve(slots, g, w)
         for i, slot in zip(group, slots):
             yield int(i), solved[slot], bool(degenerate[slot])
