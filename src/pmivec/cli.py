@@ -136,7 +136,6 @@ def cmd_factorize_core(args) -> None:
                 "residuals": diag.residuals,
                 "iterations": diag.iterations,
                 "converged": diag.converged,
-                "method": diag.method,
                 "omegas": diag.omegas,
                 "rejected": diag.rejected,
             },

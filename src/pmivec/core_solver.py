@@ -3,16 +3,16 @@
 The objective is a weighted Frobenius fit of a symmetric PMI block by a
 positive semidefinite matrix of rank at most d.  With weights in [0, 1] the
 classic majorization step applies: impute the unobserved part of the target
-from the current iterate, then truncate to the best rank-d PSD matrix: by a
-full eigendecomposition up to 4(d + 16) words, above that by Rayleigh-Ritz on
-a block-Krylov space started from the first d + 16 columns, then from the last
-sweep's Ritz vectors.  A plain sweep can only lower the weighted residual (the
-previous iterate stays feasible), so one after the first that does not has met
-rounding level: it is undone and ends the solve.  From the third sweep the
-imputation step is over-relaxed by a factor that grows while sweeps pay off; a
-relaxed sweep that does not lower the residual is undone and the factor falls
-back to 1 (the adaptive over-relaxed bound optimization of Salakhutdinov &
-Roweis, ICML 2003).
+from the current iterate, then truncate to the best rank-d PSD matrix by
+Rayleigh-Ritz on a block-Krylov space started from the first d + 16 columns,
+then from the last sweep's Ritz vectors.  Up to 5(d + 16) words the first
+space spans every column, so the first sweep's truncation is exact.  A plain
+sweep can only lower the weighted residual (the previous iterate stays
+feasible), so one after the first that does not has met rounding level: it is
+undone and ends the solve.  From the third sweep the imputation step is
+over-relaxed by a factor that grows while sweeps pay off; a relaxed sweep that
+does not lower the residual is undone and the factor falls back to 1 (the
+adaptive over-relaxed bound optimization of Salakhutdinov & Roweis, ICML 2003).
 The solve needs no tuning or randomness.
 
 Dense memory, for an n-word block: the caller's target and weights, each used
@@ -59,14 +59,13 @@ _DEFLATE = 1e-6
 
 @dataclass
 class SolveDiagnostics:
-    """Weighted residual at the zero start and after every sweep, the truncation
-    used, the over-relaxation factor of every sweep and the rejected sweeps
-    (numbered from 1), whose residual repeats the one before."""
+    """Weighted residual at the zero start and after every sweep, the
+    over-relaxation factor of every sweep and the rejected sweeps (numbered
+    from 1), whose residual repeats the one before."""
 
     residuals: list[float]
     iterations: int
     converged: bool
-    method: str  # "eigh" (exact) or "block-krylov"
     omegas: list[float]
     rejected: list[int]
 
@@ -88,7 +87,8 @@ def psd_truncate(sym, dim: int) -> tuple[np.ndarray, np.ndarray]:
     word, ``approx = factor @ factor.T``, and the kept eigenvalues are the
     ``dim`` largest, clamped at zero from below.  The sign of each eigenvector
     is fixed by making its largest-magnitude entry positive, so repeated runs
-    are bit-identical.
+    are bit-identical.  The exact reference for the truncation step, which
+    :func:`em_factorize` does not call.
     """
     sym = np.asarray(sym, dtype=float)
     if sym.ndim != 2 or sym.shape[0] != sym.shape[1]:
@@ -224,7 +224,6 @@ def em_factorize(
     if not (np.isfinite(target.min()) and np.isfinite(target.max())):
         raise ValueError("target must be finite")
     target, weights = _symmetric(target), _symmetric(weights)
-    method = "block-krylov" if n > 4 * (cfg.dim + _OVERSAMPLE) else "eigh"
 
     approx = np.zeros_like(target)
     work = np.empty_like(target)  # the imputed block, then the residual terms
@@ -246,14 +245,11 @@ def em_factorize(
         if omega != 1.0:
             approx *= omega
         work += approx
-        trial_basis = None
-        if method == "eigh":
-            trial, approx = psd_truncate(work, cfg.dim)
-        else:  # the first sweep starts from the most frequent words' columns; the
-            # Krylov basis lives in the iterate's buffer, idle until F F^T overwrites it
-            start, steps = (work[:, :cfg.dim + _OVERSAMPLE], _FIRST_STEPS) if basis is None else (basis, _WARM_STEPS)
-            trial, trial_basis = _ritz_psd_factor(work, start, steps, cfg.dim, approx, basis is not None)
-            np.matmul(trial, trial.T, out=approx)
+        # the first sweep starts from the most frequent words' columns; the
+        # Krylov basis lives in the iterate's buffer, idle until F F^T overwrites it
+        start, steps = (work[:, :cfg.dim + _OVERSAMPLE], _FIRST_STEPS) if basis is None else (basis, _WARM_STEPS)
+        trial, trial_basis = _ritz_psd_factor(work, start, steps, cfg.dim, approx, basis is not None)
+        np.matmul(trial, trial.T, out=approx)
         omegas.append(omega)
         previous, current = residuals[-1], residual()
         if sweep > 1 and not current < previous - (cfg.tol * previous if omega > 1.0 else 0.0):
@@ -273,4 +269,4 @@ def em_factorize(
             break
         if sweep >= 2:
             omega = min(_OMEGA_GROWTH * omega, _OMEGA_MAX)
-    return factor, SolveDiagnostics(residuals, len(omegas), converged, method, omegas, rejected)
+    return factor, SolveDiagnostics(residuals, len(omegas), converged, omegas, rejected)
