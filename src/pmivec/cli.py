@@ -6,10 +6,10 @@ in a manifest.
 Every subcommand writes its output atomically and drops a JSON manifest
 (`<out>.manifest.json`) recording the resolved configuration and wall time.
 `factorize-core` alone takes the weighting flags, and records them with the
-SHA-256 of its count files.  `factorize-noncore` extends only a solve whose
-manifest it reads: it takes the weighting from there, refuses count files
-with other digests, and requires the stored words to be the vocabulary's
-leading words.
+core block's weight normalizer and the SHA-256 of its count files.
+`factorize-noncore` extends only a solve whose manifest it reads: it takes
+the weighting and the normalizer from there, refuses count files with other
+digests, and requires the stored words to be the vocabulary's leading words.
 """
 
 from __future__ import annotations
@@ -149,9 +149,9 @@ def cmd_factorize_core(args) -> None:
     )
 
 
-def _core_manifest(core_vec: str) -> tuple[PmiConfig, dict[str, str]]:
-    """The weighting and the count-file digests that the manifest beside
-    ``core_vec`` records: growth extends that solve."""
+def _core_manifest(core_vec: str) -> tuple[PmiConfig, float, dict[str, str]]:
+    """The weighting, the weight normalizer and the count-file digests that
+    the manifest beside ``core_vec`` records: growth extends that solve."""
     path = Path(core_vec + ".manifest.json")
     if not path.is_file():
         raise ValueError(f"no {path}: growth extends a pmivec solve and must read its manifest")
@@ -160,6 +160,8 @@ def _core_manifest(core_vec: str) -> tuple[PmiConfig, dict[str, str]]:
             manifest = json.load(fh)
         recorded = manifest["arguments"]
         cfg = PmiConfig(**{f.name: recorded[f.name] for f in dataclasses.fields(PmiConfig)})
+        normalizer = check_setting("weight_normalizer", manifest["weight_normalizer"],
+                                   0.0, 1.0, above=True)
         digests = manifest["counts_sha256"]
         if not (isinstance(digests, dict) and sorted(digests) == ["bigrams", "unigrams"]
                 and all(isinstance(d, str) and len(d) == 64 and set(d) <= set("0123456789abcdef")
@@ -170,12 +172,12 @@ def _core_manifest(core_vec: str) -> tuple[PmiConfig, dict[str, str]]:
         raise ValueError(
             f"{path} is no usable core manifest ({type(exc).__name__}: {exc})"
         ) from None
-    return cfg, digests
+    return cfg, normalizer, digests
 
 
 def cmd_factorize_noncore(args) -> None:
     started = time.perf_counter()
-    cfg, recorded = _core_manifest(args.core_vec)
+    cfg, normalizer, recorded = _core_manifest(args.core_vec)
     vars(args).update(dataclasses.asdict(cfg))  # recorded in this stage's manifest
     vocab = load_unigrams(args.unigrams)
     table = load_bigrams(args.bigrams, vocab)
@@ -197,9 +199,7 @@ def cmd_factorize_noncore(args) -> None:
     if core_size > len(base):
         raise ValueError(f"--core-size {core_size} exceeds the {len(base)} stored vectors")
 
-    # weights share the scale of the block of the regression columns, the
-    # normalizer factorize-core found for those words
-    rows_of = PmiRows(range(core_size), table, cfg, normalizer=None)
+    rows_of = PmiRows(range(core_size), table, cfg, normalizer)  # the core solve's weight scale
     new = range(len(base), min(len(base) + args.count, len(vocab)))
     if len(new) < args.count:
         print(
@@ -222,7 +222,7 @@ def cmd_factorize_noncore(args) -> None:
     _write_manifest(
         args.out, "factorize-noncore", args, started,
         [args.bigrams, args.unigrams, args.core_vec], [args.out],
-        extra={"report": report, "weight_normalizer": rows_of.normalizer,
+        extra={"report": report, "weight_normalizer": normalizer,
                "counts_sha256": digests},
     )
     print(
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unigrams", required=True)
     p.add_argument("--core-vec", required=True,
                    help=".vec file with the embeddings to extend; its manifest "
-                        "fixes the weighting and the count files")
+                        "fixes the weighting, its scale and the count files")
     p.add_argument("--core-size", type=_setting(int, 1), default=None,
                    help="use only the first N stored vectors as regression "
                         "targets (default: all)")

@@ -4,7 +4,8 @@ One :class:`PmiConfig` (``lam``, ``alpha``, ``cap``) fixes the model, and
 unigram probabilities come from the table's vocabulary.  :class:`PmiRows`
 builds the rows of any words against one column set, :func:`pmi_block` the
 dense block of two ranges with the weights divided by their maximum, the
-normalizer.  Growth rows share the normalizer of their columns' own block.
+normalizer.  Growth rows take the normalizer of the core block, as the core
+solve recorded it.
 
 Pair counts are symmetrized before use, so every block is exactly symmetric
 under transposition of its index ranges.  Entries with zero smoothed
@@ -25,8 +26,6 @@ import numpy as np
 from .corpus import CooccurrenceTable, Vocabulary
 from .ioutil import check_setting
 
-#: Words whose PMI and weight rows are built together.
-BATCH_WORDS = 256
 #: Entries of the smoothing step's temporary, which takes whole rows.
 _SMOOTH_CHUNK = 1 << 16
 
@@ -76,12 +75,6 @@ def _fit_weights(p: np.ndarray, cfg: PmiConfig) -> np.ndarray:
     return p
 
 
-def _largest_weight(blocks) -> float:
-    """The largest weight in the arrays ``blocks``, or 1.0 when none is positive."""
-    peak = max((float(w.max(initial=0.0)) for w in blocks), default=0.0)
-    return peak if peak > 0.0 else 1.0
-
-
 def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(position in ``rows``, CSR entry index) of every entry of those rows."""
     starts = indptr[rows]
@@ -98,19 +91,18 @@ class PmiRows:
     from the table: the forward counts c(i, j) from row ``i`` through a map
     of column positions, and the reverse counts c(j, i) from the column
     words' own rows, transposed once here.  A call then costs the nonzeros
-    of the requested rows plus one dense row per word.  ``normalizer``
-    divides the weights; ``None`` takes the largest weight of the ``cols`` x
-    ``cols`` block, whose weights are built ``BATCH_WORDS`` rows at a time by
-    the same steps as this call's, without the PMI.  That equals
-    ``pmi_block``'s normalizer for those words bit for bit.  ``cols`` must
-    be distinct vocabulary indices, and requested rows vocabulary indices.
+    of the requested rows plus one dense row per word.  ``normalizer``, in
+    (0, 1], divides the weights: growth passes the core block's, which
+    ``pmi_block`` returns and ``factorize-core`` records.  ``cols`` must be
+    distinct vocabulary indices, and requested rows vocabulary indices.
     """
 
-    def __init__(self, cols, table: CooccurrenceTable, cfg: PmiConfig, normalizer: float | None = 1.0):
+    def __init__(self, cols, table: CooccurrenceTable, cfg: PmiConfig, normalizer: float = 1.0):
         if table.total_pairs == 0:
             raise ValueError("table holds no pairs")
         n = len(table.vocab)
-        self.table, self.cfg, self.normalizer = table, cfg, 1.0
+        self.table, self.cfg = table, cfg
+        self.normalizer = check_setting("normalizer", normalizer, 0.0, 1.0, above=True)
         self.cols = self._indices(cols, "column")
         self.probs = unigram_probs(table.vocab)
         self.col_pos = np.full(n, -1, dtype=np.int64)
@@ -124,13 +116,6 @@ class PmiRows:
         np.cumsum(np.bincount(ctx, minlength=n), out=self.rev_indptr[1:])
         self.rev_pos = owner[order]
         self.rev_counts = table.counts[at[order]]
-        del owner, at, ctx, order  # the column rows' entries: free them before the batches
-        if normalizer is None:
-            normalizer = _largest_weight(
-                _fit_weights(self._smoothed_rows(self.cols[k:k + BATCH_WORDS])[0], cfg)
-                for k in range(0, len(self.cols), BATCH_WORDS)
-            )
-        self.normalizer = normalizer
 
     def _indices(self, words, label: str) -> np.ndarray:
         """``words`` as a 1-d index array, checked against the vocabulary."""
@@ -152,18 +137,14 @@ class PmiRows:
         out[owner, self.rev_pos[at]] += self.rev_counts[at]
         return out
 
-    def _smoothed_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Smoothed pair probabilities of the words ``rows``, written over
-        their gathered counts, and the unigram products they were smoothed with."""
-        indep = np.outer(self.probs[rows], self.probs[self.cols])
-        return _smoothed(self._gather(rows), indep, self.table.total_pairs, self.cfg), indep
-
     def __call__(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """PMI and weight rows of the words ``rows``; unseen pairs keep
         weight 0 under lam = 0."""
+        rows = self._indices(rows, "row")
         # two dense buffers: the counts become p, then the weights; the
         # unigram products become p / indep, then the PMI
-        p, pmi = self._smoothed_rows(self._indices(rows, "row"))
+        pmi = np.outer(self.probs[rows], self.probs[self.cols])
+        p = _smoothed(self._gather(rows), pmi, self.table.total_pairs, self.cfg)
         mask = p > 0.0
         np.divide(p, pmi, out=pmi)  # p is 0 off the mask and the products never are
         np.log(pmi, out=pmi, where=mask)
@@ -178,10 +159,11 @@ def pmi_block(
     """PMI block, fit-weight block and weight normalizer for two index ranges.
 
     The weights are divided by their block maximum, the normalizer, or by
-    1.0 when no weight is positive; growth rows reuse it so that weights stay
-    on one scale across an entire factorization run.
+    1.0 when no weight is positive.  A weight is a power of a probability,
+    so the normalizer lies in (0, 1]; growth rows reuse the core block's so
+    that weights stay on one scale across an entire factorization run.
     """
     pmi, weights = PmiRows(col_range, table, cfg)(row_range)
-    normalizer = _largest_weight([weights])
+    normalizer = float(weights.max(initial=0.0)) or 1.0  # weights are never negative
     weights /= normalizer
     return pmi, weights, normalizer

@@ -29,12 +29,14 @@ def read_manifest(out_path):
 
 def direct_growth(small_pipeline, core, cfg, groups, out):
     """Write to ``out`` the vectors of ``core``, then those of one direct
-    ``solve_words`` per (words, mu) group against them."""
+    ``solve_words`` per (words, mu) group against them, on the weight scale
+    that the manifest of ``core`` records."""
     vocab = load_unigrams(small_pipeline["unigrams"])
     table = load_bigrams(small_pipeline["bigrams"], vocab)
     base = load_vec(core)
     assert base.words == vocab.words[:len(base)]
-    rows_of = PmiRows(np.arange(len(base)), table, cfg, normalizer=None)
+    normalizer = read_manifest(core)["weight_normalizer"]
+    rows_of = PmiRows(np.arange(len(base)), table, cfg, normalizer)
     chunks = [base.vectors]
     for group, mu in groups:
         stream = solve_words(base.vectors, rows_of, group, mu)
@@ -403,26 +405,38 @@ class TestFactorizeNoncore:
             ])
         assert exc.value.code == 1
 
-    @pytest.mark.parametrize("recorded,extra", [
-        ({"alpha": "x"}, []), ({"lam": 2}, []), ({"lam": None}, []), ({"lam": True}, []),
-        # with fewer regression words than the normalizer covers, nothing else would stop it
-        ({"cap": True}, ["--core-size", "8"]), ({"alpha": math.nan}, []),
-    ], ids=["alpha-text", "lam-range", "lam-null", "lam-bool", "cap-bool", "alpha-nan"])
+    @pytest.mark.parametrize("key,value,extra", [
+        ("arguments.alpha", "x", []), ("arguments.lam", 2, []), ("arguments.lam", None, []),
+        ("arguments.lam", True, []),
+        # with fewer regression words than the core solve had, nothing else would stop it
+        ("arguments.cap", True, ["--core-size", "8"]), ("arguments.alpha", math.nan, []),
+        ("weight_normalizer", ..., []), ("weight_normalizer", "0.5", []),
+        ("weight_normalizer", True, []), ("weight_normalizer", 0, []),
+        ("weight_normalizer", 1.5, []), ("weight_normalizer", math.nan, []),
+    ], ids=["alpha-text", "lam-range", "lam-null", "lam-bool", "cap-bool", "alpha-nan",
+            "normalizer-missing", "normalizer-text", "normalizer-bool", "normalizer-zero",
+            "normalizer-above-one", "normalizer-nan"])
     def test_unusable_recorded_weighting_is_data_error(self, small_pipeline, tmp_path, capsys,
-                                                       recorded, extra):
+                                                       key, value, extra):
         data = ["--bigrams", str(small_pipeline["bigrams"]),
                 "--unigrams", str(small_pipeline["unigrams"])]
         core, out = tmp_path / "core.vec", tmp_path / "grown.vec"
         assert main(["factorize-core", *data, "--core-size", "10", "--dim", "4",
                      "--out", str(core)]) == 0
         manifest = read_manifest(core)
-        manifest["arguments"].update(recorded)
+        *section, name = key.split(".")  # a key under "arguments", or a top-level one
+        recorded = manifest[section[0]] if section else manifest
+        if value is ...:
+            del recorded[name]
+        else:
+            recorded[name] = value
         Path(str(core) + ".manifest.json").write_text(json.dumps(manifest))
         capsys.readouterr()
         code = main(["factorize-noncore", *data, "--core-vec", str(core), "--count", "4",
                      "--mu", "1.0", *extra, "--out", str(out)])
         assert code == 2
-        assert "core.vec.manifest.json" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "core.vec.manifest.json is no usable core manifest" in err and name in err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", [
@@ -482,7 +496,7 @@ class TestFactorizeNoncore:
         recorded = read_manifest(core)["counts_sha256"]
         assert recorded == {"bigrams": file_sha256(bigrams), "unigrams": file_sha256(unigrams)}
         # fewer regression words than the core solve had change nothing: the
-        # digests are checked whatever the scale of the columns
+        # digests are checked whatever the number of regression columns
         for bi, uni, extra in [(bi5, unigrams, []), (bi5, unigrams, ["--core-size", "8"]),
                                (bigrams, uni2, [])]:
             capsys.readouterr()
@@ -510,8 +524,8 @@ class TestFactorizeNoncore:
         direct_growth(small_pipeline, core, PmiConfig(0.2, 0.75, 0.01),
                       [(range(10, 15), 1.0), (range(15, 20), 2.0)], direct)
         assert stage2.read_bytes() == direct.read_bytes()
-        # each stage records the weighting, the normalizer of its regression
-        # columns and the digests of the count files; the chain carries them
+        # each stage records the weighting, the core block's weight normalizer
+        # and the digests of the count files; the chain carries them
         recorded = {(m["arguments"]["lam"], m["arguments"]["alpha"], m["arguments"]["cap"],
                      m["weight_normalizer"], tuple(sorted(m["counts_sha256"].items())))
                     for m in map(read_manifest, (core, stage1, stage2))}
@@ -519,6 +533,26 @@ class TestFactorizeNoncore:
         assert dict(next(iter(recorded))[4]) == {
             "bigrams": file_sha256(small_pipeline["bigrams"]),
             "unigrams": file_sha256(small_pipeline["unigrams"])}
+
+    def test_growth_takes_the_weight_scale_from_manifest(self, small_pipeline, tmp_path):
+        data = ["--bigrams", str(small_pipeline["bigrams"]),
+                "--unigrams", str(small_pipeline["unigrams"])]
+        core, grown, halved = (tmp_path / name for name in ("core.vec", "grown.vec", "half.vec"))
+        grow = ["factorize-noncore", *data, "--core-vec", str(core), "--count", "8", "--mu", "1.0"]
+        assert main(["factorize-core", *data, "--core-size", "10", "--dim", "4",
+                     "--out", str(core)]) == 0
+        assert main([*grow, "--out", str(grown)]) == 0
+        manifest = read_manifest(core)
+        half = manifest["weight_normalizer"] / 2.0
+        manifest["weight_normalizer"] = half
+        Path(str(core) + ".manifest.json").write_text(json.dumps(manifest))
+        assert main([*grow, "--out", str(halved)]) == 0
+        assert read_manifest(halved)["weight_normalizer"] == half
+        # the counts are the same, so only the recorded scale tells the runs apart
+        assert halved.read_bytes() != grown.read_bytes()
+        direct = tmp_path / "direct.vec"  # PmiRows(..., normalizer=half), read from the manifest
+        direct_growth(small_pipeline, core, PmiConfig(), [(range(10, 18), 1.0)], direct)
+        assert halved.read_bytes() == direct.read_bytes()
 
     @pytest.mark.parametrize("companion", [True, False], ids=["companion", "text"])
     def test_each_stage_hashes_the_bigram_text_once(self, small_pipeline, tmp_path, monkeypatch,

@@ -182,8 +182,8 @@ def wide_growth():
     rng = np.random.default_rng(16)
     vocab, table = synthetic_setup(rng, 520, reps=40_000)
     assert len(vocab) == 520
-    c = 320
-    rows_of = PmiRows(np.arange(c), table, PmiConfig(0.1), normalizer=None)
+    c, core, cfg = 320, range(320), PmiConfig(0.1)
+    rows_of = PmiRows(core, table, cfg, pmi_block(core, core, table, cfg)[2])
     return rng.normal(size=(c, 20)), rows_of, range(c, c + 200)
 
 
@@ -252,7 +252,9 @@ class TestGroupSolve:
 def growth_setup():
     rng = np.random.default_rng(9)
     vocab, table = synthetic_setup(rng, 8)
-    return rng.normal(size=(4, 2)), PmiRows(np.arange(4), table, PmiConfig(), normalizer=None)
+    core = range(4)
+    normalizer = pmi_block(core, core, table, PmiConfig())[2]
+    return rng.normal(size=(4, 2)), PmiRows(core, table, PmiConfig(), normalizer)
 
 
 @pytest.mark.parametrize("mu", [True, "1.0", math.nan, math.inf, -1.0],

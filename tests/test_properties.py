@@ -1,5 +1,5 @@
 """Property tests for tokenizing, pair counting, the bigram file's binary
-companion, the batched weight normalizer and the ``.vec`` parser.
+companion and the ``.vec`` parser.
 
 The companion is a cache: whatever state it is in (current, stale, damaged
 or missing), ``load_bigrams`` must return exactly what parsing the text
@@ -30,7 +30,6 @@ from pmivec.corpus import (
 )
 from pmivec.embeddings import EmbeddingSet, load_vec, save_vec
 from pmivec.ioutil import ParseError
-from pmivec.statistics import PmiConfig, PmiRows, pmi_block
 
 WORDS = ["aa", "bb", "cc", "dd", "ee"]
 tokens_st = st.lists(st.sampled_from(WORDS + ["oov", DOC_BREAK]), max_size=200)
@@ -205,20 +204,6 @@ def test_damaged_companion_gives_the_text_parse(tokens, window, data):
             cache.write_bytes(bytes(blob))
         assert load_bigrams(path, vocab) == table
         assert parsed(path.read_bytes(), vocab, work) == table
-
-
-@SETTINGS
-@given(tokens_st, windows_st, st.sampled_from([0.0, 0.1, 0.5, 1.0]),
-       st.sampled_from([0.5, 0.75, 1.0, 2.0]), st.sampled_from([None, 1e-3, 0.05]), st.data())
-def test_weight_normalizer_equals_dense_block_maximum(tokens, window, lam, alpha, cap, data):
-    got = counted(tokens, window)
-    if got is None or got[1].total_pairs == 0:
-        return
-    vocab, table = got
-    core = range(0, data.draw(st.integers(1, len(vocab)), label="core size"))
-    cfg = PmiConfig(lam=lam, alpha=alpha, cap=cap)
-    _, _, normalizer = pmi_block(core, core, table, cfg)
-    assert PmiRows(core, table, cfg, normalizer=None).normalizer == normalizer
 
 
 def per_float_load_vec(path) -> EmbeddingSet:

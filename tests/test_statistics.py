@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 
 from pmivec.corpus import CooccurrenceTable, Vocabulary, count_bigrams, count_unigrams
-from pmivec.statistics import (
-    BATCH_WORDS,
-    PmiConfig,
-    PmiRows,
-    pmi_block,
-    unigram_probs,
-)
+from pmivec.statistics import PmiConfig, PmiRows, pmi_block, unigram_probs
 
 
 def pair_counts(table):
@@ -305,12 +299,18 @@ class TestPmiRow:
         with pytest.raises(ValueError, match="repeat"):
             PmiRows([0, 0, 1], table, PmiConfig())
 
-    @pytest.mark.parametrize("cols", [[-1, 1], [0, 9], [0, 1.7]],
-                             ids=["negative", "beyond", "fraction"])
-    def test_column_outside_vocabulary_refused(self, cols):
+    COLUMNS, SCALE = r"column indices .* \[0, 4\)", r"normalizer .* \(0, 1\]"
+
+    # a normalizer outside (0, 1], where the largest weight lies, is refused too
+    @pytest.mark.parametrize("cols,normalizer,match", [
+        ([-1, 1], 1.0, COLUMNS), ([0, 9], 1.0, COLUMNS), ([0, 1.7], 1.0, COLUMNS),
+        ([0, 1], None, SCALE), ([0, 1], 0.0, SCALE), ([0, 1], math.nan, SCALE), ([0, 1], 1.5, SCALE),
+    ], ids=["negative", "beyond", "fraction", "normalizer-none", "normalizer-zero",
+            "normalizer-nan", "normalizer-above-one"])
+    def test_column_outside_vocabulary_refused(self, cols, normalizer, match):
         _, table = make_table(self.WORDS, 2)
-        with pytest.raises(ValueError, match=r"column indices .* \[0, 4\)"):
-            PmiRows(cols, table, PmiConfig())
+        with pytest.raises(ValueError, match=match):
+            PmiRows(cols, table, PmiConfig(), normalizer)
 
     @pytest.mark.parametrize("rows", [[-1], [2, 4], [[1, 2]], [2.9], [True]],
                              ids=["negative", "beyond", "2-d", "fraction", "bool"])
@@ -321,19 +321,6 @@ class TestPmiRow:
 
 
 class TestWeightNormalizer:
-    @pytest.mark.parametrize("lam", [0.0, 0.1, 1.0])
-    @pytest.mark.parametrize("alpha,cap", [(0.5, None), (0.75, None), (1.3, 0.002)])
-    def test_equals_dense_block_maximum_exactly(self, lam, alpha, cap):
-        rng = np.random.default_rng(12)
-        words = [chr(ord("a") + k // 26) + chr(ord("a") + k % 26) for k in range(40)]
-        tokens = [words[int(k)] for k in rng.zipf(1.5, 3000) % 40]
-        vocab, table = make_table(tokens, 3)
-        cfg = PmiConfig(lam=lam, alpha=alpha, cap=cap)
-        for size in (1, 5, 17, len(vocab)):
-            core = range(0, size)
-            _, _, normalizer = pmi_block(core, core, table, cfg)
-            assert PmiRows(core, table, cfg, normalizer=None).normalizer == normalizer
-
     def test_unobserved_top_pair_sets_the_scale(self):
         # the most frequent word never pairs with itself, so with full
         # backoff the block maximum is the unobserved lam * P(0)^2 cell
@@ -342,33 +329,7 @@ class TestWeightNormalizer:
         probs = unigram_probs(vocab)
         cfg = PmiConfig(lam=1.0, alpha=1.0)
         _, _, normalizer = pmi_block(range(3), range(3), table, cfg)
-        got = PmiRows(range(3), table, cfg, normalizer=None).normalizer
-        assert got == normalizer == float(probs[0] * probs[0])
-
-    def test_columns_beyond_one_batch_in_any_order(self):
-        vocab, table = zipf_table(700, 40_000, 2, seed=23)
-        core = range(0, 600)
-        assert len(vocab) >= len(core) > 2 * BATCH_WORDS
-        cfg = PmiConfig()
-        _, _, normalizer = pmi_block(core, core, table, cfg)
-        cols = np.random.default_rng(0).permutation(len(core))
-        assert PmiRows(cols, table, cfg, normalizer=None).normalizer == normalizer
-
-    def test_scale_adds_no_memory_peak(self):
-        # few frequent columns with long rows: the batches run after the
-        # reverse index is built, whose temporaries must be gone by then
-        vocab, table = zipf_table(3000, 100_000, 5, seed=24)
-
-        def peak(**kwargs):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                PmiRows(range(40), table, PmiConfig(), **kwargs)
-                return tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-
-        assert peak(normalizer=None) <= 1.05 * peak()
+        assert normalizer == float(probs[0] * probs[0])
 
 
 class TestInPlaceBlock:
