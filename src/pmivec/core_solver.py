@@ -15,13 +15,12 @@ does not lower the residual is undone and the factor falls back to 1 (the
 adaptive over-relaxed bound optimization of Salakhutdinov & Roweis, ICML 2003).
 The solve needs no tuning or randomness.
 
-Dense memory, for an n-word block: the caller's target and weights, each used
-as it is when it is exactly symmetric (else one averaged copy), plus two n x n
-arrays of the solve: the iterate, whose buffer also holds the Krylov basis
-between the imputation and ``F F^T``, and the work block (the imputed block,
-then the residual terms).  An undone sweep rebuilds the iterate from the last
-accepted n x d factor.  The Rayleigh-Ritz matrix, at most min(n, 5(d + 16))
-square, is filled from the Gram-Schmidt coefficients of the Krylov blocks.
+Dense memory, for an n-word block: the caller's target T and weights W, each
+used as it is when it is exactly symmetric (else one averaged copy), and the
+weighted residual R = W (T - F F^T) of the last accepted n x d factor F.
+Neither F F^T nor the imputed block F F^T + omega R is formed: a Krylov product
+is F (F^T Q) + omega R Q.  The Krylov basis is n x min(n, 5(d + 16)); the Ritz
+matrix, as many columns square, comes from the Gram-Schmidt coefficients.
 """
 
 from __future__ import annotations
@@ -55,6 +54,8 @@ _OMEGA_GROWTH, _OMEGA_MAX = 1.5, 64.0
 #: Singular values of a projected Krylov block below this fraction of its longest
 #: column before projection lie in the space so far (the Gram matrix rounds at ~1e-8).
 _DEFLATE = 1e-6
+#: Entries of the residual pass's temporary, which takes whole rows.
+_REFIT_CHUNK = 1 << 16
 
 
 @dataclass
@@ -145,25 +146,26 @@ def _append_block(space, k: int, block, floor: float, coef=None) -> int:
     return new
 
 
-def _ritz_psd_factor(sym, start, steps: int, dim: int, space, orthonormal=False) -> tuple[np.ndarray, np.ndarray]:
-    """``_psd_factor`` of the Rayleigh-Ritz pairs of ``sym`` on the space
-    ``[start, sym start, ..., sym^steps start]``.
+def _ritz_psd_factor(sym, start, steps: int, dim: int, orthonormal=False) -> tuple[np.ndarray, np.ndarray]:
+    """``_psd_factor`` of the Rayleigh-Ritz pairs of a symmetric ``Y`` on the
+    space ``[start, Y start, ..., Y^steps start]``; ``sym(q)`` returns ``Y q``.
 
-    The orthonormal basis is written into the columns of ``space``, an n x n
-    scratch array, so it never has more than n columns.  The first block is
-    orthonormalized by QR unless it is ``orthonormal``, each later one by
-    :func:`_append_block`, whose coefficients ``Q^T (sym Q_j)`` are block column
-    j of the Ritz matrix: ``sym`` multiplies each basis column once.  When ``sym``
-    maps the space into itself (an exactly low-rank, diagonal or block-diagonal
-    ``sym`` can), the next block is the unit vectors of the words the space
-    covers least, so a solve does not stay where its first columns reach.
+    The orthonormal basis is an n x min(n, b (steps + 1)) array of its own for
+    the b columns of ``start``.  The first block is orthonormalized by QR
+    unless it is ``orthonormal``, each later one by :func:`_append_block`,
+    whose coefficients ``Q^T (Y Q_j)`` are block column j of the Ritz matrix:
+    ``sym`` takes each basis column once.  When ``Y`` maps the space into
+    itself (an exactly low-rank, diagonal or block-diagonal ``Y`` can), the
+    next block is the unit vectors of the words the space covers least, so a
+    solve does not stay where its first columns reach.
     """
     n, b = start.shape
+    space = np.empty((n, min(n, b * (steps + 1))))
     space[:, :b] = start if orthonormal else np.linalg.qr(start)[0]
-    ritz = np.empty((min(n, b * (steps + 1)),) * 2)  # eigh reads the upper triangle only
+    ritz = np.empty((space.shape[1],) * 2)  # eigh reads the upper triangle only
     lo, k = 0, b  # the last block is space[:, lo:k]
     for _ in range(steps):
-        block = sym @ space[:, lo:k]
+        block = sym(space[:, lo:k])
         new = _append_block(space, k, block, _DEFLATE * np.linalg.norm(block, axis=0).max(), ritz[:k, lo:k])
         if new == 0 and k < n:
             least = np.argsort(np.einsum("ij,ij->i", space[:, :k], space[:, :k]), kind="stable")[:min(b, n - k)]
@@ -172,7 +174,7 @@ def _ritz_psd_factor(sym, start, steps: int, dim: int, space, orthonormal=False)
             break
         lo, k = k, k + new
     else:  # the last block's product is the only one the loop did not make
-        block = sym @ space[:, lo:k]
+        block = sym(space[:, lo:k])
         np.matmul(space[:, :k].T, block, out=ritz[:k, lo:k])
     del block  # free it before the eigh, the sweep's memory peak
     evals, evecs = np.linalg.eigh(ritz[:k, :k], UPLO="U")
@@ -198,15 +200,15 @@ def em_factorize(
     the (n, dim) factor whose rows are the word vectors, plus per-sweep
     diagnostics.
 
-    The first two sweeps impute ``weights * target + (1 - weights) * approx``.
-    Each later one takes ``omega`` times that step from ``approx``, with
-    ``omega`` growing 1.5-fold after every accepted sweep up to 64.  Such a
-    sweep is accepted only when it lowers the residual by more than
-    ``cfg.tol`` of it.  Otherwise the last accepted factor is kept, its residual
-    is recorded again, and the next sweep is plain.  A rejected sweep counts
-    toward ``cfg.max_iters``.  A plain sweep after the first that does not
-    lower the residual at all is rejected too and ends the solve as
-    converged: in exact arithmetic it cannot raise the residual, so the solve
+    The first two sweeps impute ``F F^T + R``, for the last accepted factor
+    ``F`` and ``R = weights * (target - F F^T)``.  Each later one imputes
+    ``F F^T + omega R``, with ``omega`` growing 1.5-fold after every accepted
+    sweep up to 64.  Such a sweep is accepted only when it lowers the residual
+    by more than ``cfg.tol`` of it.  Otherwise the last accepted factor is
+    kept, its residual is recorded again, and the next sweep is plain.  A
+    rejected sweep counts toward ``cfg.max_iters``.  A plain sweep after the
+    first that does not lower the residual at all is rejected too and ends the
+    solve as converged: in exact arithmetic it cannot raise the residual, so it
     has reached rounding level.  A rejected relaxed sweep never ends it.
     """
     target = np.asarray(target, dtype=float)
@@ -225,33 +227,30 @@ def em_factorize(
         raise ValueError("target must be finite")
     target, weights = _symmetric(target), _symmetric(weights)
 
-    approx = np.zeros_like(target)
-    work = np.empty_like(target)  # the imputed block, then the residual terms
+    factor, basis = np.zeros((n, cfg.dim)), None  # the last accepted factor and Ritz basis
+    resid = np.empty_like(target)  # W (T - F F^T) for that factor
+    step = max(1, _REFIT_CHUNK // n)
 
-    def residual() -> float:
-        np.subtract(target, approx, out=work)
-        np.square(work, out=work)
-        return float(np.sum(np.multiply(work, weights, out=work)))
+    def refit(f) -> float:
+        """Write ``resid`` for ``f`` in row chunks; returns its weighted residual."""
+        total = 0.0
+        for k in range(0, n, step):
+            gap = target[k:k + step] - f[k:k + step] @ f.T
+            np.multiply(weights[k:k + step], gap, out=resid[k:k + step])
+            total += float(np.sum(np.multiply(gap, resid[k:k + step], out=gap)))
+        return total
 
-    residuals, omegas, rejected = [residual()], [], []
-    converged = False
-    omega, factor, basis = 1.0, None, None  # the last accepted factor and Ritz basis
+    def imputed(q):  # Y q for the imputed block Y = F F^T + omega R
+        return omega * (resid @ q) + factor @ (factor.T @ q)
+
+    residuals, omegas, rejected = [refit(factor)], [], []
+    converged, omega = False, 1.0
     for sweep in range(1, cfg.max_iters + 1):
-        # work = (1 - omega weights) * approx + omega weights * target, without temporaries
-        np.multiply(weights, -omega, out=work)
-        work += 1.0
-        work *= approx
-        np.multiply(weights, target, out=approx)
-        if omega != 1.0:
-            approx *= omega
-        work += approx
-        # the first sweep starts from the most frequent words' columns; the
-        # Krylov basis lives in the iterate's buffer, idle until F F^T overwrites it
-        start, steps = (work[:, :cfg.dim + _OVERSAMPLE], _FIRST_STEPS) if basis is None else (basis, _WARM_STEPS)
-        trial, trial_basis = _ritz_psd_factor(work, start, steps, cfg.dim, approx, basis is not None)
-        np.matmul(trial, trial.T, out=approx)
+        # the first sweep starts from the most frequent words' columns of Y = W T
+        start, steps = (resid[:, :cfg.dim + _OVERSAMPLE], _FIRST_STEPS) if basis is None else (basis, _WARM_STEPS)
+        trial, trial_basis = _ritz_psd_factor(imputed, start, steps, cfg.dim, basis is not None)
         omegas.append(omega)
-        previous, current = residuals[-1], residual()
+        previous, current = residuals[-1], refit(trial)
         if sweep > 1 and not current < previous - (cfg.tol * previous if omega > 1.0 else 0.0):
             residuals.append(previous)
             rejected.append(sweep)
@@ -259,7 +258,7 @@ def em_factorize(
                 converged = True
                 break
             # the over-relaxed step did not pay: restart plain from the last accepted factor
-            np.matmul(factor, factor.T, out=approx)
+            refit(factor)
             omega = 1.0
             continue
         residuals.append(current)

@@ -21,14 +21,14 @@ except ImportError:
 
 def check_setting(name: str, value, low: float, high: float = math.inf, *, above: bool = False,
                   integral: bool = False):
-    """``value`` if it is a finite real number (an ``Integral`` one with
-    ``integral``), not a bool, in ``[low, high]`` (``(low, high]`` with
-    ``above``), else a ``ValueError`` naming ``name``.  Every numeric
-    setting passes here: flags, manifest fields, library calls."""
+    """``value`` if it is a finite real number (every integer is; an
+    ``Integral`` one with ``integral``), not a bool, in ``[low, high]``
+    (``(low, high]`` with ``above``), else a ``ValueError`` naming ``name``.
+    Every numeric setting passes here: flags, manifest fields, library calls."""
     kind = numbers.Integral if integral else numbers.Real
     if (isinstance(value, bool) or not isinstance(value, kind)
-            or not math.isfinite(value) or not (low < value if above else low <= value)
-            or value > high):
+            or not (isinstance(value, numbers.Integral) or math.isfinite(value))
+            or not (low < value if above else low <= value) or value > high):
         what = "an integer" if integral else "a finite number"
         span = f"{'(' if above else '['}{low:g}, {high:g}{']' if high < math.inf else ')'}"
         raise ValueError(f"{name} must be {what} in {span}, not {value!r}")

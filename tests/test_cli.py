@@ -413,9 +413,11 @@ class TestFactorizeNoncore:
         ("weight_normalizer", ..., []), ("weight_normalizer", "0.5", []),
         ("weight_normalizer", True, []), ("weight_normalizer", 0, []),
         ("weight_normalizer", 1.5, []), ("weight_normalizer", math.nan, []),
+        # integers too large for a float are refused by range, not by a traceback
+        ("weight_normalizer", 10 ** 400, []), ("arguments.lam", 10 ** 400, []),
     ], ids=["alpha-text", "lam-range", "lam-null", "lam-bool", "cap-bool", "alpha-nan",
             "normalizer-missing", "normalizer-text", "normalizer-bool", "normalizer-zero",
-            "normalizer-above-one", "normalizer-nan"])
+            "normalizer-above-one", "normalizer-nan", "normalizer-huge-int", "lam-huge-int"])
     def test_unusable_recorded_weighting_is_data_error(self, small_pipeline, tmp_path, capsys,
                                                        key, value, extra):
         data = ["--bigrams", str(small_pipeline["bigrams"]),
@@ -676,8 +678,9 @@ class TestUsageErrors:
         text = " ".join(capsys.readouterr().out.split())
         assert "(default 0.1)" in text and "(default 0.5)" in text
 
-    @pytest.mark.parametrize("flag,value", [("--mu", "nan"), ("--alpha", "inf")],
-                             ids=["mu-nan", "alpha-inf"])
+    @pytest.mark.parametrize("flag,value", [("--mu", "nan"), ("--alpha", "inf"),
+                                            ("--dim", "-1" + "0" * 400)],
+                             ids=["mu-nan", "alpha-inf", "dim-huge-negative"])
     def test_non_finite_setting_is_usage_error(self, tmp_path, capsys, flag, value):
         # refused before any file is read: none of the inputs exists
         stage = (["factorize-noncore", "--core-vec", "x.vec", "--count", "4", "--mu", "1"]
@@ -704,7 +707,7 @@ class TestUsageErrors:
                     continue
                 assert action.type.__qualname__ == "_setting.<locals>.parse", action.dest
                 flag = action.option_strings[0]
-                for value in ("nan", "inf", "-inf"):
+                for value in ("nan", "inf", "-inf", "-1" + "0" * 400):
                     with pytest.raises(SystemExit) as exc:
                         parser.parse_args([name, *required, f"{flag}={value}"])
                     assert exc.value.code == 1

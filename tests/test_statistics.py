@@ -73,8 +73,8 @@ class TestConfigs:
             PmiConfig(cap=-1.0)
 
     @pytest.mark.parametrize("field", ["lam", "alpha", "cap"])
-    @pytest.mark.parametrize("value", [True, "0.1", math.nan, math.inf],
-                             ids=["bool", "text", "nan", "inf"])
+    @pytest.mark.parametrize("value", [True, "0.1", math.nan, math.inf, -10 ** 400],
+                             ids=["bool", "text", "nan", "inf", "huge-negative-int"])
     def test_refuses_what_is_not_a_finite_number(self, field, value):
         with pytest.raises(ValueError, match=field):
             PmiConfig(**{field: value})
