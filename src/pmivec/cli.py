@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 usage error, 2 data or I/O error, 3 numerical failure.
 A number out of range or not finite is a usage error as a flag, a data error
 in a manifest.
-Every subcommand writes its output atomically and drops a JSON manifest
-(`<out>.manifest.json`) recording the resolved configuration and wall time.
+Every subcommand writes its output atomically. Once the stage has succeeded,
+`main` drops a JSON manifest (`<out>.manifest.json`) beside it recording the
+resolved configuration, the input and output paths, the wall time and the
+fields the stage returns; a failed stage writes none.
 `factorize-core` alone takes the weighting flags, and records them with the
 core block's weight normalizer and the SHA-256 of its count files.
 `factorize-noncore` extends only a solve whose manifest it reads: it takes
@@ -72,55 +74,55 @@ def _setting(cast, *bounds: float, above: bool = False):
     return parse
 
 
-def _write_manifest(out_path: str, subcommand: str, args: argparse.Namespace,
-                    started: float, inputs: list[str], outputs: list[str],
-                    extra: dict | None = None) -> None:
+def _write_manifest(args: argparse.Namespace, started: float, inputs: list[str],
+                    extra: dict) -> None:
+    """Record a stage that succeeded beside its output ``args.out``."""
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "version": __version__,
         "arguments": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "inputs": inputs,
-        "outputs": outputs,
+        "outputs": [args.out],
         "wall_time_s": round(time.perf_counter() - started, 6),
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
-    with atomic_write(out_path + ".manifest.json") as fh:
+    with atomic_write(args.out + ".manifest.json") as fh:
         json.dump(manifest, fh, indent=2, default=str)
         fh.write("\n")
 
 
-def cmd_count_unigrams(args) -> None:
-    started = time.perf_counter()
+def _load_counts(args):
+    """The vocabulary and pair table of ``args.unigrams`` and ``args.bigrams``,
+    and the SHA-256 of both files."""
+    vocab = load_unigrams(args.unigrams)
+    table = load_bigrams(args.bigrams, vocab)
+    return vocab, table, {"bigrams": table.text_sha256, "unigrams": file_sha256(args.unigrams)}
+
+
+def cmd_count_unigrams(args) -> tuple[list[str], dict]:
     with open(args.input, encoding="utf-8") as fh:
         vocab = count_unigrams(tokenize(fh), min_count=args.min_count)
     save_unigrams(vocab, args.out)
-    _write_manifest(args.out, "count-unigrams", args, started, [args.input], [args.out])
     print(f"{len(vocab)} words kept of {vocab.total_tokens} tokens -> {args.out}")
+    return [args.input], {}
 
 
-def cmd_count_bigrams(args) -> None:
-    started = time.perf_counter()
+def cmd_count_bigrams(args) -> tuple[list[str], dict]:
     vocab = load_unigrams(args.unigrams)
     with open(args.input, encoding="utf-8") as fh:
         table = count_bigrams(tokenize(fh), vocab, args.window)
     save_bigrams(table, args.out)
-    _write_manifest(
-        args.out, "count-bigrams", args, started, [args.input, args.unigrams], [args.out]
-    )
     print(f"{table.total_pairs} window-{args.window} pairs -> {args.out}")
+    return [args.input, args.unigrams], {}
 
 
-def cmd_factorize_core(args) -> None:
-    started = time.perf_counter()
-    vocab = load_unigrams(args.unigrams)
+def cmd_factorize_core(args) -> tuple[list[str], dict]:
+    vocab, table, digests = _load_counts(args)
     if not args.dim <= args.core_size <= len(vocab):
         raise ValueError(
             f"--core-size {args.core_size} must lie between --dim {args.dim} "
             f"and the {len(vocab)} vocabulary words"
         )
-    table = load_bigrams(args.bigrams, vocab)
-    digests = {"bigrams": table.text_sha256, "unigrams": file_sha256(args.unigrams)}
     core = range(args.core_size)
     cfg = PmiConfig(args.lam, args.alpha, args.cap)
     pmi, weights, normalizer = pmi_block(core, core, table, cfg)
@@ -128,25 +130,15 @@ def cmd_factorize_core(args) -> None:
     factor, diag = em_factorize(pmi, weights, CoreSolveConfig(args.dim, args.iters, args.tol))
     emb = EmbeddingSet(vocab.words[: args.core_size], factor)
     save_vec(emb, args.out)
-    _write_manifest(
-        args.out, "factorize-core", args, started,
-        [args.bigrams, args.unigrams], [args.out],
-        extra={
-            "diagnostics": {
-                "residuals": diag.residuals,
-                "iterations": diag.iterations,
-                "converged": diag.converged,
-                "omegas": diag.omegas,
-                "rejected": diag.rejected,
-            },
-            "weight_normalizer": normalizer,
-            "counts_sha256": digests,
-        },
-    )
     print(
         f"core {len(emb)} x {emb.dim}: residual {diag.residuals[0]:.6g} -> "
         f"{diag.residuals[-1]:.6g} in {diag.iterations} sweeps -> {args.out}"
     )
+    return [args.bigrams, args.unigrams], {
+        "diagnostics": dataclasses.asdict(diag),
+        "weight_normalizer": normalizer,
+        "counts_sha256": digests,
+    }
 
 
 def _core_manifest(core_vec: str) -> tuple[PmiConfig, float, dict[str, str]]:
@@ -175,13 +167,10 @@ def _core_manifest(core_vec: str) -> tuple[PmiConfig, float, dict[str, str]]:
     return cfg, normalizer, digests
 
 
-def cmd_factorize_noncore(args) -> None:
-    started = time.perf_counter()
+def cmd_factorize_noncore(args) -> tuple[list[str], dict]:
     cfg, normalizer, recorded = _core_manifest(args.core_vec)
     vars(args).update(dataclasses.asdict(cfg))  # recorded in this stage's manifest
-    vocab = load_unigrams(args.unigrams)
-    table = load_bigrams(args.bigrams, vocab)
-    digests = {"bigrams": table.text_sha256, "unigrams": file_sha256(args.unigrams)}
+    vocab, table, digests = _load_counts(args)
     if digests != recorded:
         raise ValueError(
             f"{args.bigrams} and {args.unigrams} have SHA-256 {digests['bigrams']} and "
@@ -217,19 +206,15 @@ def cmd_factorize_noncore(args) -> None:
     seconds = time.perf_counter() - solve_start
     merged = EmbeddingSet(vocab.words[:new.stop], vectors)
     save_vec(merged, args.out)
-    report = {"words": len(new), "mu": args.mu, "degeneracies": degeneracies,
-              "seconds": round(seconds, 6)}
-    _write_manifest(
-        args.out, "factorize-noncore", args, started,
-        [args.bigrams, args.unigrams, args.core_vec], [args.out],
-        extra={"report": report, "weight_normalizer": normalizer,
-               "counts_sha256": digests},
-    )
     print(
         f"solved {len(new)} words (mu={args.mu:g}, "
         f"{degeneracies} degenerate, {seconds:.2f}s); "
         f"{len(merged)} total -> {args.out}"
     )
+    report = {"words": len(new), "mu": args.mu, "degeneracies": degeneracies,
+              "seconds": round(seconds, 6)}
+    return [args.bigrams, args.unigrams, args.core_vec], {
+        "report": report, "weight_normalizer": normalizer, "counts_sha256": digests}
 
 
 _TESTSET_KINDS = (
@@ -239,8 +224,7 @@ _TESTSET_KINDS = (
 )
 
 
-def cmd_evaluate(args) -> None:
-    started = time.perf_counter()
+def cmd_evaluate(args) -> tuple[list[str], dict]:
     emb = load_vec(args.vec)
     testset_dir = Path(args.testset_dir)
     if not testset_dir.is_dir():
@@ -259,10 +243,7 @@ def cmd_evaluate(args) -> None:
     print(text, end="")
     with atomic_write(args.out) as fh:
         fh.write(text)
-    _write_manifest(
-        args.out, "evaluate", args, started,
-        [args.vec, args.testset_dir], [args.out],
-    )
+    return [args.vec, args.testset_dir], {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,8 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
-        args.func(args)
+        inputs, extra = args.func(args)
+        _write_manifest(args, started, inputs, extra)
     except np.linalg.LinAlgError as exc:  # a ValueError, so it goes first
         print(f"pmivec: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

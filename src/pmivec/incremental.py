@@ -117,10 +117,10 @@ def solve_noncore_word(
     """Closed-form embedding of one word from its PMI/weight row vs the core,
     minimizing 2 * sum_j w_j (g_j - v_j . v)^2 + mu * |v|^2.
 
-    With mu = 0 and a singular normal matrix the minimum-norm solution is
-    returned and a DegeneracyWarning is issued.  Each call builds the core's
-    O(c d^2) packed product table (11 ms at c = 700, d = 50), so many words
-    should go through :func:`solve_words`, which builds it once.
+    Solves the word's own normal system (2V)^T diag(w) V v + mu v = (2V)^T (w g)
+    in O(c d^2), apart from the group kernel of :func:`solve_words`: the
+    tests hold that kernel to it.  With mu = 0 and a singular normal matrix
+    the minimum-norm solution is returned and a DegeneracyWarning is issued.
     """
     g = np.asarray(g, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -130,14 +130,19 @@ def solve_noncore_word(
     if not np.all(w >= 0.0):
         raise ValueError("weights must be nonnegative")
     check_setting("mu", mu, 0.0)
-    solved, degenerate = _GroupSolver(core_vectors, mu)(np.zeros(1, dtype=np.intp), g[None], w[None])
-    if degenerate[0]:
+    twice = 2.0 * core_vectors
+    normal = twice.T @ (w[:, None] * core_vectors) + mu * np.eye(core_vectors.shape[1])
+    rhs = twice.T @ (w * g)
+    if mu:
+        return np.linalg.solve(normal, rhs)
+    solved, _, rank, _ = np.linalg.lstsq(normal, rhs, rcond=None)
+    if rank < normal.shape[0]:
         warnings.warn(
             "singular normal matrix at mu = 0; returning the minimum-norm solution",
             DegeneracyWarning,
             stacklevel=2,
         )
-    return solved[0]
+    return solved
 
 
 def solve_words(

@@ -189,6 +189,49 @@ def small_pipeline(tmp_path_factory):
     return {"root": root, "corpus": corpus, "unigrams": uni, "bigrams": bi}
 
 
+MANIFEST_KEYS = ["subcommand", "version", "arguments", "inputs", "outputs", "wall_time_s"]
+
+
+def test_every_stage_manifest_layout(small_pipeline, tmp_path):
+    """Key order, inputs in flag order and outputs of all five stages; a stage
+    that fails writes no manifest."""
+    corpus, uni, bi = (str(small_pipeline[k]) for k in ("corpus", "unigrams", "bigrams"))
+    out = {name: str(tmp_path / name) for name in
+           ("uni.txt", "bi.txt", "core.vec", "grown.vec", "report.txt", "bad.vec")}
+    tdir = tmp_path / "testsets"
+    tdir.mkdir()
+    (tdir / "pairs.sim.tsv").write_text("aa\tab\t9.0\naa\tac\t7.0\nab\tad\t3.0\n")
+    grown = ["--core-vec", out["core.vec"], "--count", "5", "--mu", "1.0"]
+    stages = [
+        (["count-unigrams", "--input", corpus, "--min-count", "1"], "uni.txt", [corpus], []),
+        (["count-bigrams", "--input", corpus, "--unigrams", uni], "bi.txt", [corpus, uni], []),
+        (["factorize-core", "--bigrams", bi, "--unigrams", uni, "--core-size", "10",
+          "--dim", "4"], "core.vec", [bi, uni],
+         ["diagnostics", "weight_normalizer", "counts_sha256"]),
+        (["factorize-noncore", "--bigrams", bi, "--unigrams", uni, *grown], "grown.vec",
+         [bi, uni, out["core.vec"]], ["report", "weight_normalizer", "counts_sha256"]),
+        (["evaluate", "--vec", out["grown.vec"], "--testset-dir", str(tdir)], "report.txt",
+         [out["grown.vec"], str(tdir)], []),
+    ]
+    for argv, name, inputs, extras in stages:
+        assert main([*argv, "--out", out[name]]) == 0, argv[0]
+        manifest = read_manifest(out[name])
+        assert list(manifest) == MANIFEST_KEYS + extras, argv[0]
+        assert manifest["subcommand"] == argv[0]
+        assert manifest["inputs"] == inputs
+        assert manifest["outputs"] == [out[name]]
+    core = read_manifest(out["core.vec"])
+    assert list(core["diagnostics"]) == ["residuals", "iterations", "converged", "omegas",
+                                         "rejected"]
+    assert list(read_manifest(out["grown.vec"])["report"]) == ["words", "mu", "degeneracies",
+                                                               "seconds"]
+    size = len(load_unigrams(uni)) + 1
+    assert main(["factorize-core", "--bigrams", bi, "--unigrams", uni, "--core-size", str(size),
+                 "--dim", "4", "--out", out["bad.vec"]]) == 2
+    assert not Path(out["bad.vec"]).exists()
+    assert not Path(out["bad.vec"] + ".manifest.json").exists()
+
+
 class TestFactorizeCore:
     def test_run_and_diagnostics(self, small_pipeline, tmp_path):
         out = tmp_path / "core.vec"
