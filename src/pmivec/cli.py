@@ -6,7 +6,8 @@ in a manifest.
 Every subcommand writes its output atomically. Once the stage has succeeded,
 `main` drops a JSON manifest (`<out>.manifest.json`) beside it recording the
 resolved configuration, the input and output paths, the wall time and the
-fields the stage returns; a failed stage writes none.
+fields the stage returns, and only then prints the stage's summary to stdout;
+a failed stage writes no manifest and prints no summary.
 `factorize-core` alone takes the weighting flags, and records them with the
 core block's weight normalizer and the SHA-256 of its count files.
 `factorize-noncore` extends only a solve whose manifest it reads: it takes
@@ -99,24 +100,23 @@ def _load_counts(args):
     return vocab, table, {"bigrams": table.text_sha256, "unigrams": file_sha256(args.unigrams)}
 
 
-def cmd_count_unigrams(args) -> tuple[list[str], dict]:
+def cmd_count_unigrams(args) -> tuple[list[str], dict, str]:
     with open(args.input, encoding="utf-8") as fh:
         vocab = count_unigrams(tokenize(fh), min_count=args.min_count)
     save_unigrams(vocab, args.out)
-    print(f"{len(vocab)} words kept of {vocab.total_tokens} tokens -> {args.out}")
-    return [args.input], {}
+    return [args.input], {}, f"{len(vocab)} words kept of {vocab.total_tokens} tokens -> {args.out}"
 
 
-def cmd_count_bigrams(args) -> tuple[list[str], dict]:
+def cmd_count_bigrams(args) -> tuple[list[str], dict, str]:
     vocab = load_unigrams(args.unigrams)
     with open(args.input, encoding="utf-8") as fh:
         table = count_bigrams(tokenize(fh), vocab, args.window)
     save_bigrams(table, args.out)
-    print(f"{table.total_pairs} window-{args.window} pairs -> {args.out}")
-    return [args.input, args.unigrams], {}
+    summary = f"{table.total_pairs} window-{args.window} pairs -> {args.out}"
+    return [args.input, args.unigrams], {}, summary
 
 
-def cmd_factorize_core(args) -> tuple[list[str], dict]:
+def cmd_factorize_core(args) -> tuple[list[str], dict, str]:
     vocab, table, digests = _load_counts(args)
     if not args.dim <= args.core_size <= len(vocab):
         raise ValueError(
@@ -130,15 +130,13 @@ def cmd_factorize_core(args) -> tuple[list[str], dict]:
     factor, diag = em_factorize(pmi, weights, CoreSolveConfig(args.dim, args.iters, args.tol))
     emb = EmbeddingSet(vocab.words[: args.core_size], factor)
     save_vec(emb, args.out)
-    print(
-        f"core {len(emb)} x {emb.dim}: residual {diag.residuals[0]:.6g} -> "
-        f"{diag.residuals[-1]:.6g} in {diag.iterations} sweeps -> {args.out}"
-    )
+    summary = (f"core {len(emb)} x {emb.dim}: residual {diag.residuals[0]:.6g} -> "
+               f"{diag.residuals[-1]:.6g} in {diag.iterations} sweeps -> {args.out}")
     return [args.bigrams, args.unigrams], {
         "diagnostics": dataclasses.asdict(diag),
         "weight_normalizer": normalizer,
         "counts_sha256": digests,
-    }
+    }, summary
 
 
 def _core_manifest(core_vec: str) -> tuple[PmiConfig, float, dict[str, str]]:
@@ -167,7 +165,7 @@ def _core_manifest(core_vec: str) -> tuple[PmiConfig, float, dict[str, str]]:
     return cfg, normalizer, digests
 
 
-def cmd_factorize_noncore(args) -> tuple[list[str], dict]:
+def cmd_factorize_noncore(args) -> tuple[list[str], dict, str]:
     cfg, normalizer, recorded = _core_manifest(args.core_vec)
     vars(args).update(dataclasses.asdict(cfg))  # recorded in this stage's manifest
     vocab, table, digests = _load_counts(args)
@@ -206,15 +204,13 @@ def cmd_factorize_noncore(args) -> tuple[list[str], dict]:
     seconds = time.perf_counter() - solve_start
     merged = EmbeddingSet(vocab.words[:new.stop], vectors)
     save_vec(merged, args.out)
-    print(
-        f"solved {len(new)} words (mu={args.mu:g}, "
-        f"{degeneracies} degenerate, {seconds:.2f}s); "
-        f"{len(merged)} total -> {args.out}"
-    )
+    summary = (f"solved {len(new)} words (mu={args.mu:g}, "
+               f"{degeneracies} degenerate, {seconds:.2f}s); "
+               f"{len(merged)} total -> {args.out}")
     report = {"words": len(new), "mu": args.mu, "degeneracies": degeneracies,
               "seconds": round(seconds, 6)}
     return [args.bigrams, args.unigrams, args.core_vec], {
-        "report": report, "weight_normalizer": normalizer, "counts_sha256": digests}
+        "report": report, "weight_normalizer": normalizer, "counts_sha256": digests}, summary
 
 
 _TESTSET_KINDS = (
@@ -224,7 +220,7 @@ _TESTSET_KINDS = (
 )
 
 
-def cmd_evaluate(args) -> tuple[list[str], dict]:
+def cmd_evaluate(args) -> tuple[list[str], dict, str]:
     emb = load_vec(args.vec)
     testset_dir = Path(args.testset_dir)
     if not testset_dir.is_dir():
@@ -239,11 +235,10 @@ def cmd_evaluate(args) -> tuple[list[str], dict]:
             reports.append(scorer(emb, loader(path), name=name))
     if not reports:
         raise ValueError(f"no testsets found in {testset_dir}")
-    text = format_report_table(reports) + "\n\n" + format_report_keyvalues(reports) + "\n"
-    print(text, end="")
+    text = format_report_table(reports) + "\n\n" + format_report_keyvalues(reports)
     with atomic_write(args.out) as fh:
-        fh.write(text)
-    return [args.vec, args.testset_dir], {}
+        fh.write(text + "\n")
+    return [args.vec, args.testset_dir], {}, text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,8 +312,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        inputs, extra = args.func(args)
+        inputs, extra, summary = args.func(args)
         _write_manifest(args, started, inputs, extra)
+        print(summary)  # only once the output and its manifest are both written
     except np.linalg.LinAlgError as exc:  # a ValueError, so it goes first
         print(f"pmivec: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -345,6 +345,22 @@ class TestFactorizeCore:
         assert code == 2
         assert "No space left on device" in capsys.readouterr().err
 
+    def test_summary_follows_the_manifest(self, small_pipeline, tmp_path, monkeypatch, capsys):
+        argv = ["factorize-core", "--bigrams", str(small_pipeline["bigrams"]),
+                "--unigrams", str(small_pipeline["unigrams"]),
+                "--core-size", "10", "--dim", "4", "--out", str(tmp_path / "core.vec")]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("core 10 x 4: residual ")
+
+        def full_disk(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr("pmivec.cli._write_manifest", full_disk)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no success line for a stage whose manifest is stale
+        assert "No space left on device" in captured.err
+
 
 class TestFactorizeNoncore:
     def test_staged_growth(self, small_pipeline, tmp_path):
