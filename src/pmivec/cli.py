@@ -9,10 +9,10 @@ resolved configuration, the input and output paths, the wall time and the
 fields the stage returns, and only then prints the stage's summary to stdout;
 a failed stage writes no manifest and prints no summary.
 `factorize-core` alone takes the weighting flags, and records them with the
-core block's weight normalizer and the SHA-256 of its count files.
-`factorize-noncore` extends only a solve whose manifest it reads: it takes
-the weighting and the normalizer from there, refuses count files with other
-digests, and requires the stored words to be the vocabulary's leading words.
+core block's weight normalizer and the SHA-256 of its count files and of its
+`.vec`, as growth does.  `factorize-noncore` extends only a solve whose
+manifest it reads: it takes the weighting and the normalizer from there, and
+refuses count files or a `--core-vec` whose SHA-256 is not the one recorded.
 """
 
 from __future__ import annotations
@@ -136,12 +136,14 @@ def cmd_factorize_core(args) -> tuple[list[str], dict, str]:
         "diagnostics": dataclasses.asdict(diag),
         "weight_normalizer": normalizer,
         "counts_sha256": digests,
+        "vec_sha256": file_sha256(args.out),
     }, summary
 
 
-def _core_manifest(core_vec: str) -> tuple[PmiConfig, float, dict[str, str]]:
-    """The weighting, the weight normalizer and the count-file digests that
-    the manifest beside ``core_vec`` records: growth extends that solve."""
+def _core_manifest(core_vec: str) -> tuple[PmiConfig, float, dict[str, str], str]:
+    """The weighting, the weight normalizer, the count-file digests and the
+    ``.vec`` digest that the manifest beside ``core_vec`` records: growth
+    extends that solve."""
     path = Path(core_vec + ".manifest.json")
     if not path.is_file():
         raise ValueError(f"no {path}: growth extends a pmivec solve and must read its manifest")
@@ -152,21 +154,24 @@ def _core_manifest(core_vec: str) -> tuple[PmiConfig, float, dict[str, str]]:
         cfg = PmiConfig(**{f.name: recorded[f.name] for f in dataclasses.fields(PmiConfig)})
         normalizer = check_setting("weight_normalizer", manifest["weight_normalizer"],
                                    0.0, 1.0, above=True)
-        digests = manifest["counts_sha256"]
+        digests, vec_digest = manifest["counts_sha256"], manifest["vec_sha256"]
         if not (isinstance(digests, dict) and sorted(digests) == ["bigrams", "unigrams"]
                 and all(isinstance(d, str) and len(d) == 64 and set(d) <= set("0123456789abcdef")
-                        for d in digests.values())):
-            raise ValueError(f"counts_sha256 {digests!r} does not map bigrams and unigrams "
-                             f"to SHA-256 hex digests")
+                        for d in [*digests.values(), vec_digest])):
+            raise ValueError(f"counts_sha256 {digests!r} and vec_sha256 {vec_digest!r} are not "
+                             f"SHA-256 hex digests of the bigrams, the unigrams and the vectors")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
             f"{path} is no usable core manifest ({type(exc).__name__}: {exc})"
         ) from None
-    return cfg, normalizer, digests
+    return cfg, normalizer, digests, vec_digest
 
 
 def cmd_factorize_noncore(args) -> tuple[list[str], dict, str]:
-    cfg, normalizer, recorded = _core_manifest(args.core_vec)
+    cfg, normalizer, recorded, vec_digest = _core_manifest(args.core_vec)
+    if file_sha256(args.core_vec) != vec_digest:
+        raise ValueError(f"{args.core_vec} is not the .vec its manifest describes: its SHA-256 "
+                         f"is not the recorded {vec_digest}")
     vars(args).update(dataclasses.asdict(cfg))  # recorded in this stage's manifest
     vocab, table, digests = _load_counts(args)
     if digests != recorded:
@@ -176,12 +181,7 @@ def cmd_factorize_noncore(args) -> tuple[list[str], dict, str]:
             f"{recorded['bigrams']} and {recorded['unigrams']}: these are not the counts "
             f"the core vectors were solved on"
         )
-    base = load_vec(args.core_vec)
-    if len(base) == 0:
-        raise ValueError(f"{args.core_vec} holds no embeddings")
-    if base.words != vocab.words[:len(base)]:
-        raise ValueError(
-            f"the words of {args.core_vec} are not the leading words of {args.unigrams}")
+    base = load_vec(args.core_vec)  # pmivec wrote it over these counts: their leading words
     core_size = args.core_size if args.core_size is not None else len(base)
     if core_size > len(base):
         raise ValueError(f"--core-size {core_size} exceeds the {len(base)} stored vectors")
@@ -210,7 +210,8 @@ def cmd_factorize_noncore(args) -> tuple[list[str], dict, str]:
     report = {"words": len(new), "mu": args.mu, "degeneracies": degeneracies,
               "seconds": round(seconds, 6)}
     return [args.bigrams, args.unigrams, args.core_vec], {
-        "report": report, "weight_normalizer": normalizer, "counts_sha256": digests}, summary
+        "report": report, "weight_normalizer": normalizer, "counts_sha256": digests,
+        "vec_sha256": file_sha256(args.out)}, summary
 
 
 _TESTSET_KINDS = (

@@ -98,27 +98,26 @@ def spearman(xs, ys) -> float:
     return float(rx @ ry / denom)
 
 
-def _unit_rows(emb: EmbeddingSet) -> tuple[np.ndarray, np.ndarray]:
-    """Row-normalized vectors plus a mask of words with a usable direction."""
+def _unit_rows(emb: EmbeddingSet) -> tuple[np.ndarray, dict[str, int]]:
+    """Row-normalized vectors plus the row index of each word that has a
+    direction: the vocabulary the scorers see."""
     norms = np.linalg.norm(emb.vectors, axis=1)
     usable = norms > 0.0
     unit = np.zeros_like(emb.vectors)
     unit[usable] = emb.vectors[usable] / norms[usable, None]
-    return unit, usable
+    return unit, {w: i for w, i in emb.index.items() if usable[i]}
 
 
 def eval_similarity(emb: EmbeddingSet, testset: SimilarityTestset, name: str = "similarity") -> EvalReport:
     """Spearman rank correlation of cosine similarity against human scores."""
-    unit, usable = _unit_rows(emb)
+    unit, index = _unit_rows(emb)
     human: list[float] = []
     predicted: list[float] = []
     for w1, w2, score in testset.items:
-        i = emb.index.get(w1)
-        j = emb.index.get(w2)
-        if i is None or j is None or not (usable[i] and usable[j]):
+        if w1 not in index or w2 not in index:
             continue
         human.append(score)
-        predicted.append(float(unit[i] @ unit[j]))
+        predicted.append(float(unit[index[w1]] @ unit[index[w2]]))
     if len(human) < 2:
         raise ValueError(
             f"{name}: only {len(human)} of {len(testset.items)} pairs are in vocabulary"
@@ -136,20 +135,20 @@ def eval_analogy_3cosmul(emb: EmbeddingSet, testset: AnalogyTestset, name: str =
     """
     if len(emb) < 4:
         raise ValueError("analogy evaluation needs a vocabulary of at least 4 words")
-    unit, usable = _unit_rows(emb)
+    unit, index = _unit_rows(emb)
+    directionless = ~unit.any(axis=1)  # the rows whose norm was 0
     covered = 0
     correct = 0
-    for a, a_star, b, b_star in testset.items:
-        ids = [emb.index.get(w) for w in (a, a_star, b, b_star)]
-        if any(i is None or not usable[i] for i in ids):
+    for item in testset.items:
+        if any(w not in index for w in item):
             continue
-        ia, ia_star, ib, ib_star = ids
+        ia, ia_star, ib, ib_star = (index[w] for w in item)
         covered += 1
         sa = (unit @ unit[ia] + 1.0) / 2.0
         sa_star = (unit @ unit[ia_star] + 1.0) / 2.0
         sb = (unit @ unit[ib] + 1.0) / 2.0
         score = sb * sa_star / (sa + COSMUL_EPSILON)
-        score[~usable] = -np.inf
+        score[directionless] = -np.inf
         score[[ia, ia_star, ib]] = -np.inf
         if int(np.argmax(score)) == ib_star:
             correct += 1
@@ -164,18 +163,15 @@ def eval_choice(emb: EmbeddingSet, testset: ChoiceTestset, name: str = "choice")
     is skipped only when its probe is out of vocabulary, so one whose
     candidates are all out of vocabulary counts as answered wrong.
     """
-    unit, usable = _unit_rows(emb)
+    unit, index = _unit_rows(emb)
     covered = 0
     correct = 0
     for probe, candidates, answer in testset.items:
-        p = emb.index.get(probe)
-        if p is None or not usable[p]:
+        if probe not in index:
             continue
         covered += 1
-        scores = []
-        for c in candidates:
-            k = emb.index.get(c)
-            scores.append(float(unit[k] @ unit[p]) if k is not None and usable[k] else -np.inf)
+        p = index[probe]
+        scores = [float(unit[index[c]] @ unit[p]) if c in index else -np.inf for c in candidates]
         pick = int(np.argmax(scores))
         if pick == answer and np.isfinite(scores[pick]):
             correct += 1

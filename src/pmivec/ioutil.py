@@ -1,11 +1,10 @@
 """Helpers shared by every layer: the one validity rule for numeric
 settings, file digests, the parse error that names a file line, and atomic
-writes."""
+writes that create each output with its final mode."""
 
 import math
 import numbers
 import os
-import tempfile
 from contextlib import contextmanager
 
 try:
@@ -57,36 +56,21 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-def _umask() -> int:
-    """The process umask; reading it means setting it, so it is set back."""
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
 @contextmanager
 def atomic_write(path, binary=False):
     """Open a temp file next to ``path`` and rename it into place on success.
 
     A failure inside the block leaves no partial output behind, which makes
     every pipeline stage restartable.  The file is opened as UTF-8 text with
-    ``\\n`` line endings, or for bytes when ``binary`` is true.  It gets the
-    mode a plain ``open`` would give it, 0o666 less the umask, rather than
-    the 0o600 of a temp file.
+    ``\\n`` line endings, or for bytes when ``binary`` is true.  It is created
+    exclusively with the mode a plain ``open`` gives, 0o666 less the umask,
+    which the kernel applies; the umask is never read or set.
     """
-    path = os.fspath(path)
-    parent = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(
-        dir=parent, prefix=os.path.basename(path) + ".", suffix=".tmp"
-    )
+    tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
+    fh = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8", newline="\n")
     try:
-        if binary:
-            fh = os.fdopen(fd, "wb")
-        else:
-            fh = os.fdopen(fd, "w", encoding="utf-8", newline="\n")
         with fh:
             yield fh
-        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -74,6 +74,27 @@ class TestAtomicWrites:
         finally:
             os.umask(previous)
 
+    def test_never_sets_the_umask(self, tmp_path, monkeypatch):
+        # the umask is shared by every thread: setting it, even back, races their creates
+        def refuse(mask):
+            raise AssertionError(f"os.umask({mask:#o}) called")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        for name, binary in (("out.txt", False), ("out.bin", True)):
+            with atomic_write(tmp_path / name, binary=binary) as fh:
+                fh.write(b"x" if binary else "x")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin", "out.txt"]
+
+    def test_failed_create_leaves_an_existing_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.txt"
+        taken = tmp_path / f"out.txt.{bytes(6).hex()}.tmp"  # the temp name the zero bytes give
+        taken.write_text("someone else's")
+        monkeypatch.setattr(os, "urandom", bytes)
+        with pytest.raises(FileExistsError):
+            with atomic_write(target) as fh:
+                fh.write("new")
+        assert taken.read_text() == "someone else's" and not target.exists()
+
 
 class TestCountUnigrams:
     def test_golden_output(self, tmp_path):
@@ -207,9 +228,10 @@ def test_every_stage_manifest_layout(small_pipeline, tmp_path):
         (["count-bigrams", "--input", corpus, "--unigrams", uni], "bi.txt", [corpus, uni], []),
         (["factorize-core", "--bigrams", bi, "--unigrams", uni, "--core-size", "10",
           "--dim", "4"], "core.vec", [bi, uni],
-         ["diagnostics", "weight_normalizer", "counts_sha256"]),
+         ["diagnostics", "weight_normalizer", "counts_sha256", "vec_sha256"]),
         (["factorize-noncore", "--bigrams", bi, "--unigrams", uni, *grown], "grown.vec",
-         [bi, uni, out["core.vec"]], ["report", "weight_normalizer", "counts_sha256"]),
+         [bi, uni, out["core.vec"]],
+         ["report", "weight_normalizer", "counts_sha256", "vec_sha256"]),
         (["evaluate", "--vec", out["grown.vec"], "--testset-dir", str(tdir)], "report.txt",
          [out["grown.vec"], str(tdir)], []),
     ]
@@ -449,8 +471,60 @@ class TestFactorizeNoncore:
                          "--mu", "1.0", "--out", str(out)])
             assert code == 2
             err = capsys.readouterr().err
-            assert "core.vec are not the leading words of" in err and "unigrams.txt" in err
+            assert "core.vec is not the .vec its manifest describes" in err
             assert not out.exists()
+
+    def test_vec_rewritten_without_its_manifest_is_data_error(self, small_pipeline, tmp_path,
+                                                               capsys, monkeypatch):
+        # a rerun whose manifest write fails leaves the old manifest beside the new .vec
+        data = ["--bigrams", str(small_pipeline["bigrams"]),
+                "--unigrams", str(small_pipeline["unigrams"])]
+        core, out = tmp_path / "core.vec", tmp_path / "grown.vec"
+        solve = ["factorize-core", *data, "--core-size", "10", "--dim", "4", "--out", str(core)]
+        assert main([*solve, "--lambda", "0.1"]) == 0
+
+        def full_disk(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr("pmivec.cli._write_manifest", full_disk)
+            assert main([*solve, "--lambda", "0.5"]) == 2
+        assert read_manifest(core)["arguments"]["lam"] == 0.1
+        capsys.readouterr()
+        assert main(["factorize-noncore", *data, "--core-vec", str(core), "--count", "4",
+                     "--mu", "1.0", "--out", str(out)]) == 2
+        assert "core.vec is not the .vec its manifest describes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_core_size_above_the_stored_vectors_is_data_error(self, small_pipeline, tmp_path,
+                                                              capsys):
+        data = ["--bigrams", str(small_pipeline["bigrams"]),
+                "--unigrams", str(small_pipeline["unigrams"])]
+        core, out = tmp_path / "core.vec", tmp_path / "grown.vec"
+        assert main(["factorize-core", *data, "--core-size", "10", "--dim", "4",
+                     "--out", str(core)]) == 0
+        capsys.readouterr()
+        assert main(["factorize-noncore", *data, "--core-vec", str(core), "--core-size", "11",
+                     "--count", "4", "--mu", "1.0", "--out", str(out)]) == 2
+        assert "--core-size 11 exceeds the 10 stored vectors" in capsys.readouterr().err
+        assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
+
+    def test_count_past_the_vocabulary_solves_the_words_left(self, small_pipeline, tmp_path,
+                                                             capsys):
+        data = ["--bigrams", str(small_pipeline["bigrams"]),
+                "--unigrams", str(small_pipeline["unigrams"])]
+        core, out = tmp_path / "core.vec", tmp_path / "grown.vec"
+        vocab = load_unigrams(small_pipeline["unigrams"])
+        assert main(["factorize-core", *data, "--core-size", "10", "--dim", "4",
+                     "--out", str(core)]) == 0
+        capsys.readouterr()
+        assert main(["factorize-noncore", *data, "--core-vec", str(core),
+                     "--count", str(len(vocab)), "--mu", "1.0", "--out", str(out)]) == 0
+        left = len(vocab) - 10
+        assert capsys.readouterr().err == (f"warning: only {left} vocabulary words are left "
+                                           f"to solve (requested {len(vocab)})\n")
+        assert load_vec(out).words == vocab.words
+        assert read_manifest(out)["report"]["words"] == left
 
     @pytest.mark.parametrize("flag", ["--lambda", "--alpha", "--cap"])
     def test_weighting_flag_is_usage_error(self, small_pipeline, tmp_path, flag):
@@ -474,9 +548,11 @@ class TestFactorizeNoncore:
         ("weight_normalizer", 1.5, []), ("weight_normalizer", math.nan, []),
         # integers too large for a float are refused by range, not by a traceback
         ("weight_normalizer", 10 ** 400, []), ("arguments.lam", 10 ** 400, []),
+        ("vec_sha256", ..., []), ("vec_sha256", "0" * 63, []),
     ], ids=["alpha-text", "lam-range", "lam-null", "lam-bool", "cap-bool", "alpha-nan",
             "normalizer-missing", "normalizer-text", "normalizer-bool", "normalizer-zero",
-            "normalizer-above-one", "normalizer-nan", "normalizer-huge-int", "lam-huge-int"])
+            "normalizer-above-one", "normalizer-nan", "normalizer-huge-int", "lam-huge-int",
+            "vec-digest-missing", "vec-digest-short"])
     def test_unusable_recorded_weighting_is_data_error(self, small_pipeline, tmp_path, capsys,
                                                        key, value, extra):
         data = ["--bigrams", str(small_pipeline["bigrams"]),
@@ -684,6 +760,15 @@ class TestEvaluate:
         assert "pairs.coverage=0.750000" in text  # the zzz pair is skipped
         stdout = capsys.readouterr().out
         assert "testset" in stdout
+
+    def test_missing_testset_dir_is_data_error(self, eval_setup, tmp_path, capsys):
+        vec, _ = eval_setup
+        out = tmp_path / "report.txt"
+        code = main(["evaluate", "--vec", str(vec), "--testset-dir", str(tmp_path / "none"),
+                     "--out", str(out)])
+        assert code == 2
+        assert f"testset directory not found: {tmp_path / 'none'}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_dir_is_data_error(self, tmp_path, capsys):
         rng = np.random.default_rng(6)
