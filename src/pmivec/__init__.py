@@ -4,7 +4,7 @@ vocabulary without retraining."""
 
 __version__ = "0.1.0"
 
-from .core_solver import CoreSolveConfig, em_factorize, psd_truncate, weighted_frobenius
+from .core_solver import CoreSolveConfig, em_factorize, weighted_frobenius
 from .corpus import CooccurrenceTable, Vocabulary, count_bigrams, count_unigrams, tokenize
 from .embeddings import EmbeddingSet, load_vec, save_vec
 from .evaluation import cosine, eval_analogy_3cosmul, eval_choice, eval_similarity, spearman

@@ -222,10 +222,10 @@ _TESTSET_KINDS = (
 
 
 def cmd_evaluate(args) -> tuple[list[str], dict, str]:
-    emb = load_vec(args.vec)
     testset_dir = Path(args.testset_dir)
     if not testset_dir.is_dir():
         raise FileNotFoundError(f"testset directory not found: {testset_dir}")
+    emb = load_vec(args.vec)
     reports, seen = [], {}
     for pattern, loader, scorer in _TESTSET_KINDS:
         for path in sorted(testset_dir.glob(pattern)):

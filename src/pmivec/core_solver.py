@@ -81,49 +81,6 @@ def weighted_frobenius(target, approx, weights) -> float:
     return float(np.sum(weights * (target - approx) ** 2))
 
 
-def psd_truncate(sym, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Best rank-``dim`` positive semidefinite approximation of a symmetric matrix.
-
-    Returns ``(factor, approx)`` where ``factor`` is (n, dim) with one row per
-    word, ``approx = factor @ factor.T``, and the kept eigenvalues are the
-    ``dim`` largest, clamped at zero from below.  The sign of each eigenvector
-    is fixed by making its largest-magnitude entry positive, so repeated runs
-    are bit-identical.  The exact reference for the truncation step, which
-    :func:`em_factorize` does not call.
-    """
-    sym = np.asarray(sym, dtype=float)
-    if sym.ndim != 2 or sym.shape[0] != sym.shape[1]:
-        raise ValueError("matrix must be square")
-    n = sym.shape[0]
-    if not 1 <= dim <= n:
-        raise ValueError(f"dim must lie in 1..{n}")
-    sym = (sym + sym.T) / 2.0
-    try:
-        evals, evecs = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        finite = bool(np.all(np.isfinite(sym)))
-        peak = float(np.abs(sym).max(initial=0.0))
-        raise np.linalg.LinAlgError(
-            f"eigendecomposition failed on a {n}x{n} block "
-            f"(finite={finite}, max |entry|={peak:.3e}): {exc}"
-        ) from exc
-    factor = _psd_factor(evals, evecs, dim)[0]
-    return factor, factor @ factor.T
-
-
-def _psd_factor(evals, evecs, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(factor, basis)`` of the ``dim`` largest eigenpairs: eigenvalues clamped
-    at zero, each eigenvector signed so its largest-magnitude entry is positive."""
-    order = np.argsort(evals)[::-1][:dim]
-    lam = np.clip(evals[order], 0.0, None)
-    basis = evecs[:, order]
-    for k in range(basis.shape[1]):
-        col = basis[:, k]
-        if col[int(np.argmax(np.abs(col)))] < 0.0:
-            basis[:, k] = -col
-    return basis * np.sqrt(lam), basis
-
-
 def _append_block(space, k: int, block, floor: float, coef=None) -> int:
     """Orthonormalize ``block`` against ``space[:, :k]`` into the next columns
     of ``space``; returns how many columns it adds.
@@ -147,8 +104,11 @@ def _append_block(space, k: int, block, floor: float, coef=None) -> int:
 
 
 def _ritz_psd_factor(sym, start, steps: int, dim: int, orthonormal=False) -> tuple[np.ndarray, np.ndarray]:
-    """``_psd_factor`` of the Rayleigh-Ritz pairs of a symmetric ``Y`` on the
-    space ``[start, Y start, ..., Y^steps start]``; ``sym(q)`` returns ``Y q``.
+    """``(factor, basis)`` of the ``dim`` largest Rayleigh-Ritz pairs of a
+    symmetric ``Y`` on the space ``[start, Y start, ..., Y^steps start]``;
+    ``sym(q)`` returns ``Y q``.  The factor is ``basis * sqrt(value)`` with each
+    value clamped at zero, and each basis column is signed so that its
+    largest-magnitude entry is positive, which makes runs bit-identical.
 
     The orthonormal basis is an n x min(n, b (steps + 1)) array of its own for
     the b columns of ``start``.  The first block is orthonormalized by QR
@@ -177,8 +137,15 @@ def _ritz_psd_factor(sym, start, steps: int, dim: int, orthonormal=False) -> tup
         block = sym(space[:, lo:k])
         np.matmul(space[:, :k].T, block, out=ritz[:k, lo:k])
     del block  # free it before the eigh, the sweep's memory peak
-    evals, evecs = np.linalg.eigh(ritz[:k, :k], UPLO="U")
-    return _psd_factor(evals[-dim:], space[:, :k] @ evecs[:, -dim:], dim)  # eigh sorts ascending
+    evals, evecs = np.linalg.eigh(ritz[:k, :k], UPLO="U")  # ascending
+    order = np.argsort(evals[-dim:])[::-1]
+    lam = np.clip(evals[-dim:][order], 0.0, None)
+    basis = (space[:, :k] @ evecs[:, -dim:])[:, order]
+    for j in range(dim):
+        col = basis[:, j]
+        if col[int(np.argmax(np.abs(col)))] < 0.0:
+            basis[:, j] = -col
+    return basis * np.sqrt(lam), basis
 
 
 def _symmetric(a: np.ndarray) -> np.ndarray:

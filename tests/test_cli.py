@@ -770,6 +770,14 @@ class TestEvaluate:
         assert f"testset directory not found: {tmp_path / 'none'}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_missing_testset_dir_reported_before_the_vec_is_read(self, tmp_path, capsys):
+        vec = tmp_path / "bad.vec"
+        vec.write_text("2 3\nfoo 1 2\n")
+        code = main(["evaluate", "--vec", str(vec), "--testset-dir", str(tmp_path / "none"),
+                     "--out", str(tmp_path / "r.txt")])
+        assert code == 2
+        assert f"testset directory not found: {tmp_path / 'none'}" in capsys.readouterr().err
+
     def test_empty_dir_is_data_error(self, tmp_path, capsys):
         rng = np.random.default_rng(6)
         vec = tmp_path / "emb.vec"

@@ -10,24 +10,27 @@ from pmivec.core_solver import (
     _append_block,
     _ritz_psd_factor,
     em_factorize,
-    psd_truncate,
     weighted_frobenius,
 )
 from pmivec.statistics import PmiConfig, pmi_block
 from test_statistics import zipf_table
 
 
+def exact_projection(sym, dim):
+    """The best rank-``dim`` PSD approximation of ``(sym + sym.T) / 2``, by a full ``eigh``."""
+    evals, evecs = np.linalg.eigh((sym + sym.T) / 2.0)
+    keep = np.argsort(evals)[::-1][:dim]
+    return (evecs[:, keep] * np.clip(evals[keep], 0.0, None)) @ evecs[:, keep].T
+
+
 def projected_gradient_oracle(target, weights, dim, steps=500):
     """Independent minimizer of the same objective: gradient steps on the
-    full matrix with its own eigenvalue projection onto rank-d PSD."""
+    full matrix, each projected onto rank-d PSD."""
     step = 1.0 / (2.0 * max(weights.max(), 1e-12))
     x = np.zeros_like(target)
     for _ in range(steps):
         grad = -2.0 * weights * (target - x)
-        evals, evecs = np.linalg.eigh((x - step * grad + (x - step * grad).T) / 2.0)
-        keep = np.argsort(evals)[::-1][:dim]
-        lam = np.clip(evals[keep], 0.0, None)
-        x = (evecs[:, keep] * lam) @ evecs[:, keep].T
+        x = exact_projection(x - step * grad, dim)
     return x
 
 
@@ -37,8 +40,9 @@ def exact_em_oracle(target, weights, dim, sweeps, tol=1e-14, growth=1.5):
     From the third sweep the imputation step is ``omega`` times the plain one;
     ``omega`` grows by ``growth`` after every accepted sweep, up to 64, and
     falls back to 1 when a relaxed sweep does not lower the residual by more
-    than ``tol`` of it, which keeps the previous factor.  ``growth=1`` is
-    plain EM.  The default ``tol`` is that of the callers' configs.
+    than ``tol`` of it, which keeps the previous iterate.  ``growth=1`` is
+    plain EM.  The default ``tol`` is that of the callers' configs.  Returns
+    the residual trace.
     """
     target = (target + target.T) / 2.0
     approx = np.zeros_like(target)
@@ -46,18 +50,17 @@ def exact_em_oracle(target, weights, dim, sweeps, tol=1e-14, growth=1.5):
     omega = 1.0
     for sweep in range(1, sweeps + 1):
         imputed = (1.0 - omega * weights) * approx + (weights * target) * omega
-        trial, trial_approx = psd_truncate(imputed, dim)
-        current = weighted_frobenius(target, trial_approx, weights)
+        trial = exact_projection(imputed, dim)
+        current = weighted_frobenius(target, trial, weights)
         if omega > 1.0 and not current < residuals[-1] - tol * residuals[-1]:
-            approx = factor @ factor.T
             residuals.append(residuals[-1])
             omega = 1.0
             continue
-        factor, approx = trial, trial_approx
+        approx = trial
         residuals.append(current)
         if sweep >= 2:
             omega = min(growth * omega, 64.0)
-    return factor, residuals
+    return residuals
 
 
 class CountingSym:
@@ -112,52 +115,6 @@ class TestWeightedFrobenius:
             weighted_frobenius(np.eye(2), np.eye(3), np.eye(2))
 
 
-class TestPsdTruncate:
-    def test_exact_on_rank_d_psd_input(self):
-        rng = np.random.default_rng(1)
-        v = rng.normal(size=(3, 10))
-        s = v.T @ v
-        factor, approx = psd_truncate(s, 3)
-        assert np.max(np.abs(approx - s)) < 1e-8
-        np.testing.assert_allclose(factor @ factor.T, approx, atol=1e-8)
-
-    def test_negative_eigenvalue_clamped(self):
-        factor, approx = psd_truncate(np.array([[-3.0]]), 1)
-        assert approx == pytest.approx(np.zeros((1, 1)))
-        assert factor == pytest.approx(np.zeros((1, 1)))
-
-    def test_two_by_two_by_hand(self):
-        factor, approx = psd_truncate(np.diag([4.0, 1.0]), 1)
-        np.testing.assert_allclose(approx, np.diag([4.0, 0.0]), atol=1e-12)
-        np.testing.assert_allclose(factor.ravel(), [2.0, 0.0], atol=1e-12)
-
-    def test_output_is_psd_with_bounded_rank(self):
-        rng = np.random.default_rng(2)
-        s = rng.normal(size=(12, 12))
-        factor, approx = psd_truncate(s, 4)
-        evals = np.linalg.eigvalsh(approx)
-        assert evals.min() >= -1e-9
-        assert np.sum(evals > 1e-8 * max(evals.max(), 1.0)) <= 4
-
-    def test_deterministic_across_runs(self):
-        rng = np.random.default_rng(3)
-        s = rng.normal(size=(8, 8))
-        f1, x1 = psd_truncate(s, 3)
-        f2, x2 = psd_truncate(s, 3)
-        np.testing.assert_array_equal(f1, f2)
-        np.testing.assert_array_equal(x1, x2)
-
-    def test_rejects_bad_dim(self):
-        with pytest.raises(ValueError):
-            psd_truncate(np.eye(3), 0)
-        with pytest.raises(ValueError):
-            psd_truncate(np.eye(3), 4)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            psd_truncate(np.ones((2, 3)), 1)
-
-
 class TestEmFactorize:
     def test_uniform_weights_recover_exact_low_rank(self):
         rng = np.random.default_rng(4)
@@ -179,8 +136,19 @@ class TestEmFactorize:
         g = rng.normal(size=(9, 9))
         g = (g + g.T) / 2.0
         factor, diag = em_factorize(g, np.ones_like(g), CoreSolveConfig(3))
-        expected, _ = psd_truncate(g, 3)
-        np.testing.assert_allclose(factor, expected, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(factor @ factor.T, exact_projection(g, 3), rtol=0, atol=1e-10)
+
+    def test_negative_eigenvalue_clamped(self):
+        factor, _ = em_factorize(np.array([[-3.0]]), np.ones((1, 1)), CoreSolveConfig(1))
+        assert factor == pytest.approx(np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("target,expected", [([[4.0, 0.0], [0.0, 1.0]], [2.0, 0.0]),
+                                                 ([[4.0, 2.0], [2.0, 1.0]], [2.0, 1.0])],
+                             ids=["diagonal", "rank-one"])
+    def test_two_by_two_by_hand(self, target, expected):
+        # the kept vector is signed so that its largest-magnitude entry is positive
+        factor, _ = em_factorize(np.array(target), np.ones((2, 2)), CoreSolveConfig(1))
+        np.testing.assert_allclose(factor.ravel(), expected, rtol=0, atol=1e-12)
 
     def test_weights_outside_unit_interval_rejected(self):
         g = np.eye(3)
@@ -259,6 +227,14 @@ class TestEmFactorize:
         with pytest.raises(ValueError):
             em_factorize(np.eye(2), np.ones((2, 2)), CoreSolveConfig(3))
 
+    def test_weights_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match="share a shape"):
+            em_factorize(np.eye(3), np.ones((2, 2)), CoreSolveConfig(1))
+
+    def test_non_square_target_rejected(self):
+        with pytest.raises(ValueError, match="must be square"):
+            em_factorize(np.ones((2, 3)), np.ones((2, 3)), CoreSolveConfig(1))
+
 
 class TestBlockKrylov:
     """The truncation step: Rayleigh-Ritz on a block-Krylov space."""
@@ -286,7 +262,7 @@ class TestBlockKrylov:
         rng = np.random.default_rng(n + d)
         g, w = random_instance(rng, n, d, noise=4.0)
         _, diag = em_factorize(g, w, CoreSolveConfig(d, max_iters=15, tol=1e-14))
-        _, exact = exact_em_oracle(g, w, d, diag.iterations)
+        exact = exact_em_oracle(g, w, d, diag.iterations)
         assert diag.residuals[-1] <= exact[-1] * 1.001
 
     def test_two_runs_bit_identical(self):
@@ -306,7 +282,7 @@ class TestBlockKrylov:
         g = random_instance(np.random.default_rng(14), 4 * (dim + 16) + 1, dim)[0]
         for n in (len(g) - 1, len(g)):
             factor, _ = em_factorize(g[:n, :n], np.ones((n, n)), CoreSolveConfig(dim, max_iters=1))
-            np.testing.assert_allclose(factor @ factor.T, psd_truncate(g[:n, :n], dim)[1], rtol=0, atol=1e-10)
+            np.testing.assert_allclose(factor @ factor.T, exact_projection(g[:n, :n], dim), rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("kind", ["rank-3", "diagonal", "two-components"])
     def test_invariant_start_block(self, kind):
@@ -324,7 +300,7 @@ class TestBlockKrylov:
             g = np.zeros((n, n))
             g[:dim + 16, :dim + 16], g[dim + 16:, dim + 16:] = a @ a.T, v @ v.T
         factor, _ = em_factorize(g, np.ones_like(g), CoreSolveConfig(dim, max_iters=1))
-        np.testing.assert_allclose(factor @ factor.T, psd_truncate(g, dim)[1], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(factor @ factor.T, exact_projection(g, dim), rtol=0, atol=1e-10)
         _, ritz = _ritz_psd_factor(g.__matmul__, g[:, :dim + 16], 8, dim)
         np.testing.assert_allclose(ritz.T @ ritz, np.eye(dim), rtol=0, atol=1e-12)
 
@@ -359,7 +335,7 @@ class TestBlockKrylov:
         assert added[empty + 1:empty + 2] > [0]  # the unit vectors of the escape add columns
         np.testing.assert_allclose(ritz.T @ ritz, np.eye(d), rtol=0, atol=1e-12)
         _, diag = em_factorize(pmi, weights, CoreSolveConfig(d, max_iters=5, tol=1e-14))
-        _, exact = exact_em_oracle(pmi, weights, d, diag.iterations)
+        exact = exact_em_oracle(pmi, weights, d, diag.iterations)
         assert diag.residuals[-1] <= exact[-1] * 1.001
 
     @pytest.mark.parametrize("n,d", [(300, 10), (400, 20), (600, 10)])
@@ -419,7 +395,7 @@ class TestOverRelaxation:
         g, w = pmi_like_instance(np.random.default_rng(1), n, d)
         _, diag = em_factorize(g, w, CoreSolveConfig(d, max_iters=15))
         assert diag.iterations == 15
-        _, plain = exact_em_oracle(g, w, d, 15, growth=1.0)
+        plain = exact_em_oracle(g, w, d, 15, growth=1.0)
         assert diag.residuals[-1] <= 0.5 * plain[-1]
 
 

@@ -282,7 +282,9 @@ class TestUnigramFiles:
         ("#total 5\na\t3\nb\t1\tx\n", "bad.txt:3: expected 'word<TAB>count'"),
         ("#total 5\na\t3\nb 1\n", "bad.txt:3: expected 'word<TAB>count'"),
         ("#total 5\na\t2\nb\t3\n", "bad.txt:3: counts are not sorted non-increasing"),
-    ], ids=["total-text", "total-negative", "three-fields", "one-field", "increasing"])
+        ("#total 5\na\t3\n\nb\t-1\n", "bad.txt:4: count -1 is not strictly positive"),
+    ], ids=["total-text", "total-negative", "three-fields", "one-field", "increasing",
+            "after-blank-line"])
     def test_parse_errors_name_the_line(self, tmp_path, text, where):
         path = tmp_path / "bad.txt"
         path.write_text(text)
@@ -365,6 +367,7 @@ class TestBigramFiles:
             load_bigrams(path, vocab)
 
     @pytest.mark.parametrize("text,where", [
+        ("#window two\n", "bad.txt:1: window is not an integer"),
         ("#window 0\n", "bad.txt:1: window must be at least 1"),
         ("#window 2\n\tb:1\n", "bad.txt:2: context line before any record"),
         ("#window 2\na\t1\n\tb1\n", "bad.txt:3: expected '<TAB>context:count'"),
@@ -373,8 +376,11 @@ class TestBigramFiles:
         ("#window 2\na\t5\n\tb:1\nb\t1\n\ta:1\n",
          "bad.txt:4: row total does not match its context counts"),
         ("#window 2\na\t1\n\tb:1\na\t1\n\tc:1\n", "bad.txt:4: duplicate word 'a'"),
-    ], ids=["window-zero", "context-first", "no-colon", "unknown-context", "duplicate-context",
-            "total-at-next-record", "duplicate-word"])
+        ("#window 2\na\tmany\n", "bad.txt:2: row total 'many' is not an integer"),
+        ("#window 2\na\t2\n\tb:1\n\n\tzebra:1\n", "bad.txt:5: unknown context word 'zebra'"),
+    ], ids=["window-text", "window-zero", "context-first", "no-colon", "unknown-context",
+            "duplicate-context", "total-at-next-record", "duplicate-word", "total-text",
+            "after-blank-line"])
     def test_parse_errors_name_the_line(self, tmp_path, vocab_and_table, text, where):
         vocab, _ = vocab_and_table
         path = tmp_path / "bad.txt"

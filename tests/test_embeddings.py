@@ -99,6 +99,12 @@ class TestLoadVec:
         with pytest.raises(ParseError, match=r"bad.vec:1"):
             load_vec(path)
 
+    def test_header_fields_not_integers_rejected(self, tmp_path):
+        path = tmp_path / "bad.vec"
+        path.write_text("1 1.5\na 1\n")
+        with pytest.raises(ParseError, match=r"bad.vec:1: header fields are not integers"):
+            load_vec(path)
+
     def test_extra_records_rejected(self, tmp_path):
         path = tmp_path / "bad.vec"
         path.write_text("1 1\na 1\nb 2\n")

@@ -364,6 +364,18 @@ class TestLoaders:
         with pytest.raises(ParseError, match=r"t.mc.txt:2: expected 'probe \| c1"):
             load_choice(path)
 
+    def test_similarity_defect_after_a_blank_line(self, tmp_path):
+        path = tmp_path / "t.sim.tsv"
+        path.write_text("a\tb\t1.0\n\nc\td\thigh\n")
+        with pytest.raises(ParseError, match=r"t.sim.tsv:3: score 'high' is not a number"):
+            load_similarity(path)
+
+    def test_choice_defect_after_a_blank_line(self, tmp_path):
+        path = tmp_path / "t.mc.txt"
+        path.write_text("probe | aa bb cc dd | 1\n \nprobe | aa bb cc dd | 4\n")
+        with pytest.raises(ParseError, match=r"t.mc.txt:3: answer index 4 out of range"):
+            load_choice(path)
+
     def test_choice_answer_not_an_integer(self, tmp_path):
         path = tmp_path / "t.mc.txt"
         path.write_text("probe | aa bb cc dd | 1\nprobe | aa bb cc dd | 1.5\n")
