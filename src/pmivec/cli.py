@@ -49,7 +49,7 @@ from .evaluation import (
     load_similarity,
 )
 from .incremental import solve_words
-from .ioutil import atomic_write, check_setting, file_sha256
+from .ioutil import atomic_write, check_setting, file_sha256, open_utf8
 from .statistics import PmiConfig, PmiRows, pmi_block
 
 EXIT_OK = 0
@@ -101,7 +101,7 @@ def _load_counts(args):
 
 
 def cmd_count_unigrams(args) -> tuple[list[str], dict, str]:
-    with open(args.input, encoding="utf-8") as fh:
+    with open_utf8(args.input) as fh:
         vocab = count_unigrams(tokenize(fh), min_count=args.min_count)
     save_unigrams(vocab, args.out)
     return [args.input], {}, f"{len(vocab)} words kept of {vocab.total_tokens} tokens -> {args.out}"
@@ -109,7 +109,7 @@ def cmd_count_unigrams(args) -> tuple[list[str], dict, str]:
 
 def cmd_count_bigrams(args) -> tuple[list[str], dict, str]:
     vocab = load_unigrams(args.unigrams)
-    with open(args.input, encoding="utf-8") as fh:
+    with open_utf8(args.input) as fh:
         table = count_bigrams(tokenize(fh), vocab, args.window)
     save_bigrams(table, args.out)
     summary = f"{table.total_pairs} window-{args.window} pairs -> {args.out}"

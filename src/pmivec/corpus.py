@@ -19,12 +19,12 @@ import zlib
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .ioutil import ParseError, atomic_write, check_setting, file_sha256, sha256
+from .ioutil import ParseError, atomic_write, check_setting, file_sha256, open_utf8, sha256
 
 #: Emitted between documents; counting windows never cross it.
 DOC_BREAK = None
@@ -32,25 +32,54 @@ DOC_BREAK = None
 _STRIP = str.maketrans("", "", string.punctuation)
 #: One line of a string with its ending, split as ``open()`` splits a file.
 _LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+#: A character that is neither a lowercase ASCII letter nor whitespace; ``\s``
+#: matches exactly the characters ``str.split`` splits at.
+_NON_LETTER = re.compile(r"[^a-z\s]")
+#: Lines that ``tokenize`` reads at a time.
+_CHUNK_LINES = 256
 
 
 def tokenize(source: str | Iterable[str]) -> Iterator[str | None]:
     """Yield cleaned tokens from a string or an iterable of lines.
 
-    Streams line by line in bounded memory.  Content never raises: spans that
-    fail the token rules are dropped.  Empty lines are yielded as
-    :data:`DOC_BREAK`.  A string is split into lines exactly as ``open()``
-    splits a file: at ``\n``, ``\r`` and ``\r\n`` only.
+    Streams in bounded memory: lines are read a few hundred at a time, and
+    each run of non-blank lines among them is cleaned as one text.  Content
+    never raises: spans that fail the token rules are dropped.  Empty lines
+    are yielded as :data:`DOC_BREAK`.  A string is split into lines exactly
+    as ``open()`` splits a file: at ``\n``, ``\r`` and ``\r\n`` only.
+    Lines from an iterable may lack their line ending.
     """
     if isinstance(source, str):
         source = (m.group().rstrip("\r\n") for m in _LINE.finditer(source))
-    for line in source:
-        if not line.rstrip("\n"):
-            yield DOC_BREAK
-            continue
-        for token in line.lower().translate(_STRIP).split():
-            if token.isascii() and token.isalpha():
-                yield token
+    return chain.from_iterable(_token_runs(source))
+
+
+def _token_runs(lines: Iterable[str]) -> Iterator[list[str] | tuple[None]]:
+    """Token lists of the runs of non-blank lines, and ``(DOC_BREAK,)`` per
+    blank line, in order."""
+    lines = iter(lines)
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        run: list[str] = []
+        for line in chunk:
+            if line.rstrip("\n"):
+                run.append(line)
+                continue
+            if run:
+                yield _run_tokens(run)
+                run = []
+            yield (DOC_BREAK,)
+        if run:
+            yield _run_tokens(run)
+
+
+def _run_tokens(lines: list[str]) -> list[str]:
+    """The tokens of consecutive non-blank lines.  A text of only ASCII
+    letters and whitespace splits as it is; otherwise each span is kept only
+    when it is made solely of ASCII letters."""
+    text = "\n".join(lines).lower().translate(_STRIP)
+    if text.isascii() and not _NON_LETTER.search(text):
+        return text.split()
+    return [token for token in text.split() if token.isascii() and token.isalpha()]
 
 
 @dataclass
@@ -268,7 +297,7 @@ def load_unigrams(path) -> Vocabulary:
     words: list[str] = []
     counts: list[int] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         header = fh.readline()
         if not header.startswith("#total "):
             raise ParseError(path, 1, "expected '#total <N>' header")
@@ -306,43 +335,57 @@ def load_unigrams(path) -> Vocabulary:
 
 #: Pairs formatted per write when saving a bigram file; bounds its memory.
 _WRITE_PAIRS = 1 << 15
+#: Counts below this are written from a table of their text, built per save.
+_COUNT_TEXTS = 1 << 12
 
 
 def save_bigrams(table: CooccurrenceTable, path) -> None:
     """Write ``#window w`` then, per leading word in vocabulary order, one
     ``word<TAB>row_total`` record followed by ``<TAB>context:count`` lines
-    with contexts in descending count.
+    with contexts in descending count, ties in ascending context index.
 
-    Also writes the binary companion ``<path>.csr`` that
-    :func:`load_bigrams` reads instead of parsing this text.
+    Lines are assembled from byte pieces made once per call, each word's
+    ``<TAB>context:`` prefix and the text of each small count, gathered by
+    index for whole rows of about ``_WRITE_PAIRS`` pairs at a time.  Also
+    writes the binary companion ``<path>.csr`` that :func:`load_bigrams`
+    reads instead of parsing this text.
     """
-    words, ptr = table.vocab.words, table.indptr
+    ptr = table.indptr
+    names = [w.encode("utf-8") for w in table.vocab.words]
+    prefixes = np.array([b"\t" + name + b":" for name in names], dtype=object)
+    top = int(table.counts.max(initial=0))
+    count_texts = np.array([b"%d\n" % c for c in range(min(top + 1, _COUNT_TEXTS))], dtype=object)
     text_digest = sha256()
     with atomic_write(path, binary=True) as fh:
 
-        def write(text: str) -> None:
-            data = text.encode("utf-8")
+        def write(data: bytes) -> None:
             text_digest.update(data)
             fh.write(data)
 
-        write(f"#window {table.window}\n")
+        write(b"#window %d\n" % table.window)
         start = 0
-        while start < len(words):
+        while start < len(names):
             # whole rows, about _WRITE_PAIRS pairs at a time
             stop = max(start + 1, int(np.searchsorted(ptr, ptr[start] + _WRITE_PAIRS, "right")) - 1)
             lo, hi = ptr[start], ptr[stop]
-            lead = np.repeat(np.arange(start, stop), np.diff(ptr[start : stop + 1]))
-            # descending count; the sort is stable, so ties keep ascending context
-            order = np.lexsort((-table.counts[lo:hi], lead))
-            contexts = table.indices[lo:hi][order].tolist()
-            counts = table.counts[lo:hi][order].tolist()
-            bounds = (ptr[start : stop + 1] - lo).tolist()
-            lines = []
-            for i, a, b in zip(range(start, stop), bounds, bounds[1:]):
-                if a < b:
-                    lines.append(f"{words[i]}\t{sum(counts[a:b])}\n")
-                    lines.extend([f"\t{words[j]}:{c}\n" for j, c in zip(contexts[a:b], counts[a:b])])
-            write("".join(lines))
+            lengths = np.diff(ptr[start : stop + 1])
+            lead = np.repeat(np.arange(start, stop, dtype=np.int64), lengths)
+            # by row, then descending count; the sort is stable, so ties keep ascending context
+            order = np.argsort((lead << 31) | (MAX_COUNT - table.counts[lo:hi]), kind="stable")
+            counts = table.counts[lo:hi][order]
+            # one line per pair: its context's prefix, then its count's text
+            pieces = np.empty((counts.size, 2), dtype=object)
+            pieces[:, 0] = prefixes[table.indices[lo:hi][order]]
+            large = counts >= count_texts.size
+            pieces[:, 1] = count_texts[np.where(large, 0, counts)]
+            pieces[large, 1] = [b"%d\n" % c for c in counts[large].tolist()]
+            # each row's record goes before its first line
+            rows = np.flatnonzero(lengths)
+            firsts = ptr[start + rows] - lo
+            totals = np.add.reduceat(counts, firsts, dtype=np.int64)
+            pieces[firsts, 0] = [b"%s\t%d\n%s" % (names[start + i], total, prefix) for i, total, prefix
+                                 in zip(rows.tolist(), totals.tolist(), pieces[firsts, 0].tolist())]
+            write(b"".join(pieces.ravel().tolist()))
             start = stop
     _save_companion(table, companion_path(path), text_digest.digest())
 
@@ -435,7 +478,7 @@ def _parse_bigrams(path, vocab: Vocabulary) -> CooccurrenceTable:
     lead_key = 0
     claimed_total = 0
     line_no = 1
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         header = fh.readline()
         if not header.startswith("#window "):
             raise ParseError(path, 1, "expected '#window <w>' header")

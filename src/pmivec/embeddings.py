@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ioutil import ParseError, atomic_write
+from .ioutil import ParseError, atomic_write, open_utf8
 
 
 @dataclass(eq=False)
@@ -70,7 +70,7 @@ def load_vec(path) -> EmbeddingSet:
     far at once, before any later defect is reported, so the error raised is
     always the file's first defect.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         header = fh.readline()
         parts = header.split()
         if len(parts) != 2:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingSet
-from .ioutil import ParseError
+from .ioutil import ParseError, open_utf8
 
 #: Denominator offset of the 3CosMul analogy rule.
 COSMUL_EPSILON = 0.001
@@ -182,7 +182,7 @@ def eval_choice(emb: EmbeddingSet, testset: ChoiceTestset, name: str = "choice")
 def load_similarity(path) -> SimilarityTestset:
     """Parse ``word1<TAB>word2<TAB>score`` lines (lowercased)."""
     items = []
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -206,7 +206,7 @@ def load_similarity(path) -> SimilarityTestset:
 def load_analogy(path) -> AnalogyTestset:
     """Parse ``a a* b b*`` lines (lowercased, whitespace separated)."""
     items = []
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             fields = line.split()
             if not fields:
@@ -220,7 +220,7 @@ def load_analogy(path) -> AnalogyTestset:
 def load_choice(path) -> ChoiceTestset:
     """Parse ``probe | c1 c2 c3 c4 | answer_index`` lines (lowercased)."""
     items = []
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

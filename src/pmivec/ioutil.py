@@ -1,7 +1,9 @@
 """Helpers shared by every layer: the one validity rule for numeric
-settings, file digests, the parse error that names a file line, and atomic
-writes that create each output with its final mode."""
+settings, file digests, the parse error that names a file line, the one way
+text inputs are opened, and atomic writes that create each output with its
+final mode."""
 
+import codecs
 import math
 import numbers
 import os
@@ -54,6 +56,46 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{line_no}: {message}")
         self.path = str(path)
         self.line_no = line_no
+
+
+@contextmanager
+def open_utf8(path):
+    """Open ``path`` for reading as UTF-8 text with universal newlines.
+
+    A byte sequence that is not UTF-8 raises a :class:`ParseError` naming
+    ``path`` and the 1-based line of the first bad byte, where a line ends
+    as ``open()`` ends it: at ``\\n``, ``\\r`` or ``\\r\\n``.  The line is
+    found only then, by decoding the file's bytes again block by block.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+        return
+    except UnicodeDecodeError as exc:
+        error = exc
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    line_no, tail = 1, b""
+    with open(path, "rb") as fh:
+        while True:
+            block = fh.read(1 << 16)
+            try:
+                decoder.decode(block, final=not block)
+            except UnicodeDecodeError as exc:
+                # the decoder's pending bytes precede the block and hold no line break
+                line_no += _line_breaks(tail, block[: max(0, exc.start - len(exc.object) + len(block))])
+                error = exc
+                break
+            if not block:
+                break  # the file changed since it was read: report its end
+            line_no += _line_breaks(tail, block)
+            tail = block[-1:]
+    raise ParseError(path, line_no, f"not UTF-8 text: byte 0x{error.object[error.start]:02x}, "
+                                    f"{error.reason}") from None
+
+
+def _line_breaks(tail: bytes, block: bytes) -> int:
+    """Line breaks that end in ``block``, whose preceding byte is ``tail``."""
+    return block.count(b"\n") + block.count(b"\r") - (tail + block).count(b"\r\n")
 
 
 @contextmanager

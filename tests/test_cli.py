@@ -15,8 +15,9 @@ import pmivec
 from pmivec.cli import build_parser, main
 from pmivec.corpus import companion_path, count_unigrams, load_bigrams, load_unigrams, tokenize
 from pmivec.embeddings import EmbeddingSet, load_vec, save_vec
+from pmivec.evaluation import load_analogy, load_choice, load_similarity
 from pmivec.incremental import solve_words
-from pmivec.ioutil import atomic_write, file_sha256
+from pmivec.ioutil import ParseError, atomic_write, file_sha256, open_utf8
 from pmivec.statistics import PmiConfig, PmiRows, pmi_block
 
 DATA = Path(__file__).parent / "data"
@@ -84,6 +85,17 @@ class TestAtomicWrites:
             with atomic_write(tmp_path / name, binary=binary) as fh:
                 fh.write(b"x" if binary else "x")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin", "out.txt"]
+
+    def test_failed_cleanup_keeps_the_original_error(self, tmp_path, monkeypatch):
+        def refuse(path):
+            raise PermissionError(errno.EACCES, "refused", path)
+
+        monkeypatch.setattr(os, "unlink", refuse)
+        with pytest.raises(RuntimeError, match="boom"):
+            with atomic_write(tmp_path / "out.txt") as fh:
+                fh.write("partial")
+                raise RuntimeError("boom")
+        assert [p.suffix for p in tmp_path.iterdir()] == [".tmp"]
 
     def test_failed_create_leaves_an_existing_file(self, tmp_path, monkeypatch):
         target = tmp_path / "out.txt"
@@ -186,6 +198,62 @@ class TestCountBigrams:
         ])
         assert code == 2
         assert "bad.txt:2" in capsys.readouterr().err
+
+
+class TestNonUtf8Input:
+    """Every text reader names the file and the line of its first byte that
+    is not UTF-8, however far past the decoder's first buffer it lies."""
+
+    CORPUS = b"alpha beta gamma\n" * 6000 + b"caf\xe9\n"  # the bad byte at offset 102,003
+
+    @pytest.mark.parametrize("stage", ["count-unigrams", "count-bigrams"])
+    def test_corpus(self, tmp_path, capsys, stage):
+        corpus, out = tmp_path / "corpus.txt", tmp_path / "out.txt"
+        corpus.write_bytes(self.CORPUS)
+        extra = ["--unigrams", str(GOLDEN / "tiny-unigrams.txt")] if stage == "count-bigrams" else []
+        assert main([stage, "--input", str(corpus), *extra, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{corpus}:6001: not UTF-8 text: byte 0xe9" in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("loader,text,line", [
+        (load_unigrams, b"#total 9\n" + b"".join(b"w%d\t1\n" % k for k in range(9000))
+         + b"b\xff\t1\n", 9002),
+        (lambda path: load_bigrams(path, count_unigrams(iter(["a", "b"]))),
+         b"#window 2\na\t2\n\tb:1\n\ta:1\r\n\tb\xc3:1\n", 5),
+        (load_vec, b"2 2\nw 0 0\nv\xe9 0 0\n", 3),
+        (load_similarity, b"a\tb\t1.0\rc\td\t2\xe2\x82\n", 2),
+        (load_analogy, b"a b c d\n\n\xe9 b c d\n", 3),
+        (load_choice, b"a | b c d e | 0\nb | \xff c d e | 1\n", 2),
+    ], ids=["unigrams", "bigrams", "vec", "similarity", "analogy", "choice"])
+    def test_readers(self, tmp_path, loader, text, line):
+        path = tmp_path / "input.txt"
+        path.write_bytes(text)
+        with pytest.raises(ParseError, match=rf"input.txt:{line}: not UTF-8 text: byte 0x"):
+            loader(path)
+
+    @pytest.mark.parametrize("tail,line,what", [
+        (b"xyz\r\n\xe9\n", 16385, "0xe9, invalid continuation"),
+        (b"xyz\xe2(\n", 16384, "0xe2, invalid continuation"),
+    ], ids=["crlf-across", "sequence-across"])
+    def test_bad_byte_across_a_block_boundary(self, tmp_path, tail, line, what):
+        # the line is found by decoding 64 KiB blocks: a CR LF, or a broken
+        # multi-byte sequence, straddles the first two
+        text = b"ab\r\n" * 16383 + tail
+        assert text[(1 << 16) - 1] in b"\r\xe2"
+        path = tmp_path / "input.txt"
+        path.write_bytes(text)
+        with pytest.raises(ParseError, match=rf"input.txt:{line}: not UTF-8 text: byte {what}"):
+            with open_utf8(path) as fh:
+                fh.read()
+
+    def test_error_the_bytes_do_not_hold_is_placed_at_the_end(self, tmp_path):
+        # the file was rewritten after the failed read, say
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"a\nb\n")
+        with pytest.raises(ParseError, match=r"input.txt:3: not UTF-8 text: byte 0xe9"):
+            with open_utf8(path):
+                b"\xe9".decode("utf-8")
 
 
 @pytest.fixture(scope="module")

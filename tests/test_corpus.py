@@ -156,6 +156,14 @@ class TestVocabularyInvariants:
         with pytest.raises(ValueError):
             Vocabulary(["a", "a"], [2, 1], 3)
 
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            Vocabulary(["a", "b"], [2], 3)
+
+    def test_rejects_negative_total(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Vocabulary(["a"], [2], -1)
+
 
 class TestCountBigrams:
     def test_window_two_hand_enumeration(self):
@@ -378,9 +386,10 @@ class TestBigramFiles:
         ("#window 2\na\t1\n\tb:1\na\t1\n\tc:1\n", "bad.txt:4: duplicate word 'a'"),
         ("#window 2\na\tmany\n", "bad.txt:2: row total 'many' is not an integer"),
         ("#window 2\na\t2\n\tb:1\n\n\tzebra:1\n", "bad.txt:5: unknown context word 'zebra'"),
+        ("#window 2\na\t1\tx\n\tb:1\n", "bad.txt:2: expected 'word<TAB>row_total'"),
     ], ids=["window-text", "window-zero", "context-first", "no-colon", "unknown-context",
             "duplicate-context", "total-at-next-record", "duplicate-word", "total-text",
-            "after-blank-line"])
+            "after-blank-line", "record-two-tabs"])
     def test_parse_errors_name_the_line(self, tmp_path, vocab_and_table, text, where):
         vocab, _ = vocab_and_table
         path = tmp_path / "bad.txt"
@@ -424,3 +433,14 @@ class TestTableInvariants:
         ]:
             with pytest.raises(ValueError):
                 CooccurrenceTable(1, vocab, np.array(indptr), np.array(indices), np.array(counts))
+
+    def test_csr_shape_and_span_checked(self):
+        vocab = count_unigrams(iter(["a", "b"]))
+        with pytest.raises(ValueError, match="1-d"):
+            CooccurrenceTable(1, vocab, np.array([0, 2, 2]), np.array([[0, 1]]), np.array([1, 1]))
+        with pytest.raises(ValueError, match="does not span"):
+            CooccurrenceTable(1, vocab, np.array([0, 2, 2]), np.array([0, 1]), np.array([1]))
+
+    def test_equality_with_another_type_is_not_implemented(self):
+        table = CooccurrenceTable.from_rows(1, count_unigrams(iter(["a", "b"])), {0: {1: 1}})
+        assert table.__eq__((1, 2)) is NotImplemented and table != (1, 2)

@@ -29,6 +29,10 @@ class TestEmbeddingSet:
         with pytest.raises(ValueError):
             EmbeddingSet(["a", "b"], np.zeros((3, 2)))
 
+    def test_vectors_must_be_2d(self):
+        with pytest.raises(ValueError, match="2-d"):
+            EmbeddingSet(["a", "b"], np.zeros(2))
+
 
 class TestSaveVec:
     def test_single_zero_record_layout(self, tmp_path):
@@ -103,6 +107,13 @@ class TestLoadVec:
         path = tmp_path / "bad.vec"
         path.write_text("1 1.5\na 1\n")
         with pytest.raises(ParseError, match=r"bad.vec:1: header fields are not integers"):
+            load_vec(path)
+
+    @pytest.mark.parametrize("header", ["-1 2", "1 0"], ids=["negative-count", "zero-dim"])
+    def test_header_out_of_range_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.vec"
+        path.write_text(f"{header}\na 1 2\n")
+        with pytest.raises(ParseError, match=r"bad.vec:1: header out of range"):
             load_vec(path)
 
     def test_extra_records_rejected(self, tmp_path):

@@ -82,6 +82,11 @@ class TestSpearman:
             expected = float(rx @ ry / np.sqrt((rx @ rx) * (ry @ ry)))
             assert spearman(xs, ys) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("xs,ys", [([1, 2, 3], [1, 2]), ([1], [1])], ids=["unequal", "short"])
+    def test_unequal_or_short_input_rejected(self, xs, ys):
+        with pytest.raises(ValueError, match="equal-length vectors of at least 2"):
+            spearman(xs, ys)
+
     def test_constant_input_rejected(self):
         with pytest.raises(ValueError):
             spearman([1, 1, 1], [1, 2, 3])
@@ -290,6 +295,20 @@ class TestScaleInvariance:
             eval_similarity(scaled, sim).metric, abs=1e-12)
         assert eval_analogy_3cosmul(emb, ana).metric == eval_analogy_3cosmul(scaled, ana).metric
         assert eval_choice(emb, cho).metric == eval_choice(scaled, cho).metric
+
+
+class TestTestsetConstructors:
+    def test_analogy_needs_four_nonempty_words(self):
+        with pytest.raises(ValueError, match="four nonempty words"):
+            AnalogyTestset((("a", "", "c", "d"),))
+
+    @pytest.mark.parametrize("item,message", [
+        (("p", ("a", "b", "c"), 0), "exactly 4 candidates"),
+        (("p", ("a", "b", "c", "d"), 4), "answer index out of range"),
+    ], ids=["three-candidates", "answer-4"])
+    def test_choice_item_checked(self, item, message):
+        with pytest.raises(ValueError, match=message):
+            ChoiceTestset((item,))
 
 
 class TestLoaders:
