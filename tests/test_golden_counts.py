@@ -10,7 +10,7 @@ non-ASCII word read from a unigram file.
 
 import numpy as np
 
-from pmivec import cli
+from pmivec import cli, corpus
 from pmivec.corpus import MAX_COUNT, CooccurrenceTable, load_unigrams, save_bigrams
 from pmivec.ioutil import file_sha256
 from smokedata import write_corpus
@@ -37,17 +37,17 @@ def golden_corpus(path):
 
 
 def test_counting_stages_keep_their_bytes(tmp_path):
-    corpus, unigrams, bigrams = (tmp_path / name for name in
-                                 ("corpus.txt", "unigrams.txt", "bigrams.txt"))
-    golden_corpus(corpus)
-    assert cli.main(["count-unigrams", "--input", str(corpus), "--min-count", "1",
+    text, unigrams, bigrams = (tmp_path / name for name in
+                               ("corpus.txt", "unigrams.txt", "bigrams.txt"))
+    golden_corpus(text)
+    assert cli.main(["count-unigrams", "--input", str(text), "--min-count", "1",
                      "--out", str(unigrams)]) == 0
-    assert cli.main(["count-bigrams", "--input", str(corpus), "--unigrams", str(unigrams),
+    assert cli.main(["count-bigrams", "--input", str(text), "--unigrams", str(unigrams),
                      "--window", "5", "--out", str(bigrams)]) == 0
     # several tokenizer chunks and several writer chunks
-    assert corpus.read_bytes().count(b"\n") == 3_000
+    assert text.read_bytes().count(b"\n") == 3_000
     assert load_unigrams(unigrams).total_tokens > 55_000
-    assert bigrams.read_text().count("\n\t") > 4 * 2**15
+    assert bigrams.read_text().count("\n\t") > 4 * corpus._WRITE_PAIRS
     assert file_sha256(unigrams) == UNIGRAMS_SHA256
     assert file_sha256(bigrams) == BIGRAMS_SHA256
     assert file_sha256(str(bigrams) + ".csr") == COMPANION_SHA256
