@@ -32,9 +32,6 @@ DOC_BREAK = None
 _STRIP = str.maketrans("", "", string.punctuation)
 #: One line of a string with its ending, split as ``open()`` splits a file.
 _LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
-#: A character that is neither a lowercase ASCII letter nor whitespace; ``\s``
-#: matches exactly the characters ``str.split`` splits at.
-_NON_LETTER = re.compile(r"[^a-z\s]")
 #: Lines that ``tokenize`` reads at a time.
 _CHUNK_LINES = 256
 
@@ -73,12 +70,9 @@ def _token_runs(lines: Iterable[str]) -> Iterator[list[str] | tuple[None]]:
 
 
 def _run_tokens(lines: list[str]) -> list[str]:
-    """The tokens of consecutive non-blank lines.  A text of only ASCII
-    letters and whitespace splits as it is; otherwise each span is kept only
-    when it is made solely of ASCII letters."""
+    """The tokens of consecutive non-blank lines: the spans made solely of
+    ASCII letters once lowercased and stripped of punctuation."""
     text = "\n".join(lines).lower().translate(_STRIP)
-    if text.isascii() and not _NON_LETTER.search(text):
-        return text.split()
     return [token for token in text.split() if token.isascii() and token.isalpha()]
 
 

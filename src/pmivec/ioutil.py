@@ -3,7 +3,6 @@ settings, file digests, the parse error that names a file line, the one way
 text inputs are opened, and atomic writes that create each output with its
 final mode."""
 
-import codecs
 import math
 import numbers
 import os
@@ -64,8 +63,8 @@ def open_utf8(path):
 
     A byte sequence that is not UTF-8 raises a :class:`ParseError` naming
     ``path`` and the 1-based line of the first bad byte, where a line ends
-    as ``open()`` ends it: at ``\\n``, ``\\r`` or ``\\r\\n``.  The line is
-    found only then, by decoding the file's bytes again block by block.
+    as ``open()`` ends it.  The line is found only then, by reading the file
+    again with its bad bytes escaped and decoding each line's bytes strictly.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -73,29 +72,18 @@ def open_utf8(path):
         return
     except UnicodeDecodeError as exc:
         error = exc
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    line_no, tail = 1, b""
-    with open(path, "rb") as fh:
-        while True:
-            block = fh.read(1 << 16)
+    line_no = 0
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, 1):
             try:
-                decoder.decode(block, final=not block)
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
             except UnicodeDecodeError as exc:
-                # the decoder's pending bytes precede the block and hold no line break
-                line_no += _line_breaks(tail, block[: max(0, exc.start - len(exc.object) + len(block))])
                 error = exc
                 break
-            if not block:
-                break  # the file changed since it was read: report its end
-            line_no += _line_breaks(tail, block)
-            tail = block[-1:]
+        else:
+            line_no += 1  # the file changed since it was read: report its end
     raise ParseError(path, line_no, f"not UTF-8 text: byte 0x{error.object[error.start]:02x}, "
                                     f"{error.reason}") from None
-
-
-def _line_breaks(tail: bytes, block: bytes) -> int:
-    """Line breaks that end in ``block``, whose preceding byte is ``tail``."""
-    return block.count(b"\n") + block.count(b"\r") - (tail + block).count(b"\r\n")
 
 
 @contextmanager

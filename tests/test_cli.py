@@ -237,8 +237,8 @@ class TestNonUtf8Input:
         (b"xyz\xe2(\n", 16384, "0xe2, invalid continuation"),
     ], ids=["crlf-across", "sequence-across"])
     def test_bad_byte_across_a_block_boundary(self, tmp_path, tail, line, what):
-        # the line is found by decoding 64 KiB blocks: a CR LF, or a broken
-        # multi-byte sequence, straddles the first two
+        # a CR LF, or a broken multi-byte sequence, straddles the first
+        # 64 KiB of the file, where a reading buffer can end
         text = b"ab\r\n" * 16383 + tail
         assert text[(1 << 16) - 1] in b"\r\xe2"
         path = tmp_path / "input.txt"

@@ -125,7 +125,7 @@ def test_writer_matches_the_oracle_on_large_counts_and_empty_rows(tmp_path):
 
 # every ASCII character, the separators \x1c-\x1f among them, the Kelvin
 # sign (which lowercases to ASCII "k") and other letters with unusual case
-# mappings; letters and spaces are weighted up so that the fast path is taken
+# mappings; letters and spaces are weighted up so that most lines hold tokens
 LINE_CHARS = st.one_of(
     st.sampled_from([chr(c) for c in range(128)]
                     + ["\u212a", "\u0130", "\u00df", "\u03a3", "\u00e9", "\u00a0", "\u3000", "\x85"]),
