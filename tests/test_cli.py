@@ -232,21 +232,6 @@ class TestNonUtf8Input:
         with pytest.raises(ParseError, match=rf"input.txt:{line}: not UTF-8 text: byte 0x"):
             loader(path)
 
-    @pytest.mark.parametrize("tail,line,what", [
-        (b"xyz\r\n\xe9\n", 16385, "0xe9, invalid continuation"),
-        (b"xyz\xe2(\n", 16384, "0xe2, invalid continuation"),
-    ], ids=["crlf-across", "sequence-across"])
-    def test_bad_byte_across_a_block_boundary(self, tmp_path, tail, line, what):
-        # a CR LF, or a broken multi-byte sequence, straddles the first
-        # 64 KiB of the file, where a reading buffer can end
-        text = b"ab\r\n" * 16383 + tail
-        assert text[(1 << 16) - 1] in b"\r\xe2"
-        path = tmp_path / "input.txt"
-        path.write_bytes(text)
-        with pytest.raises(ParseError, match=rf"input.txt:{line}: not UTF-8 text: byte {what}"):
-            with open_utf8(path) as fh:
-                fh.read()
-
     def test_error_the_bytes_do_not_hold_is_placed_at_the_end(self, tmp_path):
         # the file was rewritten after the failed read, say
         path = tmp_path / "input.txt"
