@@ -141,10 +141,7 @@ def _ritz_psd_factor(sym, start, steps: int, dim: int, orthonormal=False) -> tup
     order = np.argsort(evals[-dim:])[::-1]
     lam = np.clip(evals[-dim:][order], 0.0, None)
     basis = (space[:, :k] @ evecs[:, -dim:])[:, order]
-    for j in range(dim):
-        col = basis[:, j]
-        if col[int(np.argmax(np.abs(col)))] < 0.0:
-            basis[:, j] = -col
+    basis *= np.where(basis[np.argmax(np.abs(basis), axis=0), np.arange(dim)] < 0.0, -1.0, 1.0)
     return basis * np.sqrt(lam), basis
 
 

@@ -93,10 +93,11 @@ class Vocabulary:
     def __post_init__(self):
         if len(self.words) != len(self.counts):
             raise ValueError("words and counts differ in length")
-        if self.total_tokens < 0:
-            raise ValueError("total_tokens must be nonnegative")
+        check_setting("total_tokens", self.total_tokens, 0, integral=True)
         prev = None
         for c in self.counts:
+            if type(c) is not int:  # the rule of check_setting, kept off the common path
+                check_setting("count", c, 1, integral=True)
             if c < 1:
                 raise ValueError(f"count {c} is not strictly positive")
             if prev is not None and c > prev:
@@ -134,6 +135,8 @@ def _check_csr(indptr, indices, counts, n: int) -> None:
     ``n`` words.  Every check is vectorized."""
     if indptr.ndim != 1 or indices.ndim != 1 or counts.ndim != 1:
         raise ValueError("CSR arrays must be 1-d")
+    if any(a.dtype.kind not in "iu" for a in (indptr, indices, counts)):
+        raise ValueError("CSR arrays must hold integers")
     if len(indptr) != n + 1:
         raise ValueError(f"indptr has {len(indptr)} entries for {n} rows")
     nnz = len(indices)

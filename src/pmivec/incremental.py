@@ -14,8 +14,7 @@ triangle of its normal matrix, its weighted row times the doubled core
 vectors its right-hand side.  The normal matrices are then solved 16 at a
 time by one stacked LAPACK call.  BLAS rounds a product's row by the
 product's shape and the row's position only, so a word's vector depends on
-its own data alone: not on which other words are solved with it, or in what
-order.
+its own data alone, not on which other words are solved with it.
 
 Per call the packed table costs O(c d^2) time and 8 c d (d + 1) / 2 bytes
 (1 MB at c = 100, d = 50; 7.1 MB at c = 700).  Per group the two products
@@ -27,12 +26,12 @@ O(64 (c + d^2)) memory, which does not grow with the vocabulary.
 from __future__ import annotations
 
 import warnings
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .ioutil import check_setting
-from .statistics import PmiRows
+from .statistics import PmiRows, word_range
 
 #: Rows of every group product: word i sits at row i % _GROUP.
 _GROUP = 64
@@ -98,19 +97,6 @@ class _GroupSolver:
         return solved, degenerate
 
 
-def _groups(words: Iterable) -> Iterator[list]:
-    """The longest runs of consecutive ``words`` whose rows ``i % _GROUP`` differ."""
-    group, taken = [], set()
-    for i in words:
-        if i % _GROUP in taken:
-            yield group
-            group, taken = [], set()
-        group.append(i)
-        taken.add(i % _GROUP)
-    if group:
-        yield group
-
-
 def solve_noncore_word(
     g: np.ndarray, w: np.ndarray, core_vectors: np.ndarray, mu: float
 ) -> np.ndarray:
@@ -146,20 +132,23 @@ def solve_noncore_word(
 
 
 def solve_words(
-    core_vectors: np.ndarray, rows_of: PmiRows, word_indices: Iterable[int], mu: float
+    core_vectors: np.ndarray, rows_of: PmiRows, word_indices: range, mu: float
 ) -> Iterator[tuple[int, np.ndarray, bool]]:
-    """Stream (word index, vector, degenerate flag) for each requested word,
-    in request order.
+    """Stream (word index, vector, degenerate flag) for each word of the
+    step-1 range ``word_indices``, in order.
 
-    Rows are built one group at a time and discarded once its vectors are
-    out.  The columns of ``rows_of`` are the regression columns, aligned with
-    the rows of ``core_vectors``, and its normalizer is the core solve's.
+    Rows are built for 64 words at a time, from the start of the range, and
+    discarded once their vectors are out.  The columns of ``rows_of`` are the
+    regression columns, aligned with the rows of ``core_vectors``, and its
+    normalizer is the core solve's.
     """
     check_setting("mu", mu, 0.0)
+    words = word_range(word_indices, len(rows_of.table.vocab), "words")
     solve = _GroupSolver(np.asarray(core_vectors, dtype=float), mu)
-    for group in _groups(word_indices):
+    for k in range(0, len(words), _GROUP):
+        group = words[k:k + _GROUP]
         g, w = rows_of(group)
-        slots = np.array(group, dtype=np.int64) % _GROUP
+        slots = np.arange(group.start, group.stop) % _GROUP
         solved, degenerate = solve(slots, g, w)
         for i, slot in zip(group, slots):
-            yield int(i), solved[slot], bool(degenerate[slot])
+            yield i, solved[slot], bool(degenerate[slot])

@@ -1,11 +1,12 @@
 """Smoothed pair probabilities and the PMI / fit-weight blocks built from them.
 
 One :class:`PmiConfig` (``lam``, ``alpha``, ``cap``) fixes the model, and
-unigram probabilities come from the table's vocabulary.  :class:`PmiRows`
-builds the rows of any words against one column set, :func:`pmi_block` the
-dense block of two ranges with the weights divided by their maximum, the
-normalizer.  Growth rows take the normalizer of the core block, as the core
-solve recorded it.
+unigram probabilities come from the table's vocabulary.  Blocks follow the
+frequency order of the vocabulary: the columns are its first c words, and
+the rows any run of consecutive words.  :class:`PmiRows` builds such rows,
+:func:`pmi_block` the dense block of two ranges with the weights divided by
+their maximum, the normalizer.  Growth rows take the normalizer of the core
+block, as the core solve recorded it.
 
 Pair counts are symmetrized before use, so every block is exactly symmetric
 under transposition of its index ranges.  Entries with zero smoothed
@@ -75,26 +76,32 @@ def _fit_weights(p: np.ndarray, cfg: PmiConfig) -> np.ndarray:
     return p
 
 
-def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(position in ``rows``, CSR entry index) of every entry of those rows."""
-    starts = indptr[rows]
-    lengths = indptr[rows + 1] - starts
-    owner = np.repeat(np.arange(len(rows)), lengths)
-    first = np.cumsum(lengths) - lengths
-    return owner, np.arange(owner.size) + (starts - first)[owner]
+def word_range(words, n: int, label: str) -> range:
+    """``words`` if it is a step-1 range inside the ``n`` vocabulary words,
+    else a ``ValueError`` naming it."""
+    if not (isinstance(words, range) and words.step == 1 and 0 <= words.start <= words.stop <= n):
+        raise ValueError(f"{label} must be a step-1 range inside the {n} vocabulary words, not {words!r}")
+    return words
+
+
+def _entries(indptr: np.ndarray, rows: range) -> tuple[np.ndarray, slice]:
+    """(position in ``rows``, slice of entries) of the CSR rows ``rows``."""
+    span = indptr[rows.start:rows.stop + 1]
+    return np.repeat(np.arange(len(rows)), np.diff(span)), slice(span[0], span[-1])
 
 
 class PmiRows:
-    """PMI and fit-weight rows of any words against one fixed column set.
+    """PMI and fit-weight rows of consecutive words against the first c words.
 
-    Each entry comes from the symmetrized count c(i, j) + c(j, i), gathered
-    from the table: the forward counts c(i, j) from row ``i`` through a map
-    of column positions, and the reverse counts c(j, i) from the column
-    words' own rows, transposed once here.  A call then costs the nonzeros
-    of the requested rows plus one dense row per word.  ``normalizer``, in
-    (0, 1], divides the weights: growth passes the core block's, which
-    ``pmi_block`` returns and ``factorize-core`` records.  ``cols`` must be
-    distinct vocabulary indices, and requested rows vocabulary indices.
+    Each entry comes from the symmetrized count c(i, j) + c(j, i) of the
+    table: the forward counts c(i, j) are row ``i``'s entries with context
+    below c, and the reverse counts c(j, i) come from the first c rows,
+    indexed by context once here (12 bytes per entry of those rows, plus 8
+    per vocabulary word).  A call then costs the nonzeros of the requested
+    rows plus one dense row per word.  ``normalizer``, in (0, 1], divides
+    the weights: growth passes the core block's, which ``pmi_block`` returns
+    and ``factorize-core`` records.  ``cols`` is ``range(c)``, or an integer
+    array equal to it; requested rows are a step-1 range.
     """
 
     def __init__(self, cols, table: CooccurrenceTable, cfg: PmiConfig, normalizer: float = 1.0):
@@ -103,47 +110,38 @@ class PmiRows:
         n = len(table.vocab)
         self.table, self.cfg = table, cfg
         self.normalizer = check_setting("normalizer", normalizer, 0.0, 1.0, above=True)
-        self.cols = self._indices(cols, "column")
+        first = np.asarray(cols)
+        if (first.ndim != 1 or first.dtype.kind not in "iu" or first.size > n
+                or not np.array_equal(first, np.arange(first.size))):
+            raise ValueError(f"columns must be the first c of the {n} vocabulary words, "
+                             f"range(c), not {cols!r}")
+        self.c = c = first.size
         self.probs = unigram_probs(table.vocab)
-        self.col_pos = np.full(n, -1, dtype=np.int64)
-        self.col_pos[self.cols] = np.arange(len(self.cols))
-        if np.count_nonzero(self.col_pos >= 0) < len(self.cols):
-            raise ValueError("column indices repeat a word")
-        owner, at = _row_entries(table.indptr, self.cols)
-        ctx = table.indices[at]
+        ctx = table.indices[:table.indptr[c]]
         order = np.argsort(ctx)
         self.rev_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(ctx, minlength=n), out=self.rev_indptr[1:])
-        self.rev_pos = owner[order]
-        self.rev_counts = table.counts[at[order]]
+        self.rev_pos = _entries(table.indptr, range(c))[0][order]
+        self.rev_counts = table.counts[:len(ctx)][order]
 
-    def _indices(self, words, label: str) -> np.ndarray:
-        """``words`` as a 1-d index array, checked against the vocabulary."""
-        words = np.asarray(words)
-        n = len(self.table.vocab)
-        if words.ndim != 1 or words.size and (words.dtype.kind not in "iu"
-                                              or not 0 <= words.min() <= words.max() < n):
-            raise ValueError(f"{label} indices must be a list of integers in [0, {n})")
-        return words.astype(np.int64, copy=False)
-
-    def _gather(self, rows: np.ndarray) -> np.ndarray:
+    def _gather(self, rows: range) -> np.ndarray:
         """Symmetrized counts, one row per word of ``rows``, as floats."""
-        out = np.zeros((len(rows), len(self.cols)))
-        owner, at = _row_entries(self.table.indptr, rows)
-        k = self.col_pos[self.table.indices[at]]
-        hit = k >= 0
-        out[owner[hit], k[hit]] = self.table.counts[at[hit]]
-        owner, at = _row_entries(self.rev_indptr, rows)
+        out = np.zeros((len(rows), self.c))
+        owner, at = _entries(self.table.indptr, rows)
+        ctx = self.table.indices[at]
+        hit = ctx < self.c
+        out[owner[hit], ctx[hit]] = self.table.counts[at][hit]
+        owner, at = _entries(self.rev_indptr, rows)
         out[owner, self.rev_pos[at]] += self.rev_counts[at]
         return out
 
-    def __call__(self, rows) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, rows: range) -> tuple[np.ndarray, np.ndarray]:
         """PMI and weight rows of the words ``rows``; unseen pairs keep
         weight 0 under lam = 0."""
-        rows = self._indices(rows, "row")
+        rows = word_range(rows, len(self.table.vocab), "rows")
         # two dense buffers: the counts become p, then the weights; the
         # unigram products become p / indep, then the PMI
-        pmi = np.outer(self.probs[rows], self.probs[self.cols])
+        pmi = np.outer(self.probs[rows.start:rows.stop], self.probs[:self.c])
         p = _smoothed(self._gather(rows), pmi, self.table.total_pairs, self.cfg)
         mask = p > 0.0
         np.divide(p, pmi, out=pmi)  # p is 0 off the mask and the products never are
@@ -156,7 +154,8 @@ class PmiRows:
 def pmi_block(
     row_range: range, col_range: range, table: CooccurrenceTable, cfg: PmiConfig
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """PMI block, fit-weight block and weight normalizer for two index ranges.
+    """PMI block, fit-weight block and weight normalizer of the step-1 range
+    ``row_range`` against the first words, ``col_range = range(c)``.
 
     The weights are divided by their block maximum, the normalizer, or by
     1.0 when no weight is positive.  A weight is a power of a probability,

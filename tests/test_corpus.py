@@ -161,8 +161,21 @@ class TestVocabularyInvariants:
             Vocabulary(["a", "b"], [2], 3)
 
     def test_rejects_negative_total(self):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match=r"total_tokens must be an integer in \[0, inf\)"):
             Vocabulary(["a"], [2], -1)
+
+    @pytest.mark.parametrize("counts,total,field", [
+        ([2.5, 1], 4, "count"), ([2, True], 3, "count"), ([2, 1.0], 3, "count"),
+        ([2, 1], 3.5, "total_tokens"), ([2, 1], True, "total_tokens"), ([2, 1], "3", "total_tokens"),
+    ], ids=["fraction-count", "bool-count", "float-count", "fraction-total", "bool-total", "text-total"])
+    def test_rejects_counts_that_are_not_integers(self, counts, total, field):
+        # such a vocabulary would write a unigram file that load_unigrams refuses
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            Vocabulary(["a", "b"], counts, total)
+
+    def test_accepts_numpy_integer_counts(self):
+        vocab = Vocabulary(["a", "b"], [np.int64(2), np.int32(1)], np.int64(3))
+        assert vocab.counts == [2, 1] and vocab.total_tokens == 3
 
 
 class TestCountBigrams:
@@ -433,6 +446,17 @@ class TestTableInvariants:
         ]:
             with pytest.raises(ValueError):
                 CooccurrenceTable(1, vocab, np.array(indptr), np.array(indices), np.array(counts))
+
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["indptr", "indices", "counts"])
+    def test_csr_arrays_must_hold_integers(self, which):
+        vocab = count_unigrams(iter(["a", "b"]))
+        arrays = [[0, 1, 1], [0.7], [1.5]]
+        with pytest.raises(ValueError, match="must hold integers"):
+            CooccurrenceTable(1, vocab, *arrays)  # would become context 0 with count 1
+        arrays = [np.array([0, 1, 1]), np.array([1]), np.array([2])]
+        arrays[which] = arrays[which].astype(float)
+        with pytest.raises(ValueError, match="must hold integers"):
+            CooccurrenceTable(1, vocab, *arrays)
 
     def test_csr_shape_and_span_checked(self):
         vocab = count_unigrams(iter(["a", "b"]))

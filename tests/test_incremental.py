@@ -115,32 +115,12 @@ def synthetic_setup(rng, n, window=2, reps=900):
 
 
 class TestSolveWords:
-    def test_order_independent(self):
-        rng = np.random.default_rng(4)
-        vocab, table = synthetic_setup(rng, 12)
-        cfg = PmiConfig(0.1)
-        core_n = 6
-        _, _, normalizer = pmi_block(range(core_n), range(core_n), table, cfg)
-        core = rng.normal(size=(core_n, 3))
-        rows_of = PmiRows(np.arange(core_n), table, cfg, normalizer)
-        targets = list(range(core_n, len(vocab)))
-
-        def run(order):
-            got = dict()
-            for i, vec, _ in solve_words(core, rows_of, order, mu=0.5):
-                got[i] = vec
-            return got
-
-        forward = run(targets)
-        backward = run(list(reversed(targets)))
-        for i in targets:
-            np.testing.assert_array_equal(forward[i], backward[i])
-
     def test_no_words_yields_nothing(self):
         rng = np.random.default_rng(5)
         vocab, table = synthetic_setup(rng, 8)
         core = rng.normal(size=(len(vocab), 3))
-        stream = solve_words(core, PmiRows(np.arange(len(vocab)), table, PmiConfig()), [], mu=1.0)
+        rows_of = PmiRows(np.arange(len(vocab)), table, PmiConfig())
+        stream = solve_words(core, rows_of, range(len(vocab), len(vocab)), mu=1.0)
         assert list(stream) == []
 
     def test_mu_monotone_shrinkage_per_word(self):
@@ -200,8 +180,7 @@ class TestGroupSolve:
             f"chunks of {size}": [words[k:k + size] for k in range(0, len(words), size)]
             for size in (37, 100)
         }
-        requests["one at a time"] = [[i] for i in words]
-        requests["reversed"] = [words[::-1]]
+        requests["one at a time"] = [range(i, i + 1) for i in words]
         for name, calls in requests.items():
             got = {}
             for call in calls:
@@ -209,19 +188,9 @@ class TestGroupSolve:
             for i in words:
                 np.testing.assert_array_equal(got[i], whole[i], err_msg=f"{name}: word {i}")
 
-    def test_colliding_rows_start_a_new_group(self, wide_growth):
-        # words i and i + 64 share a row of the group products
-        core, rows_of, words = wide_growth
-        whole = solved(core, rows_of, words)
-        order = [i for k in range(64) for i in (words[k], words[k + 64])] + list(words[128:])
-        got = list(solve_words(core, rows_of, order, 2.0))
-        assert [i for i, _, _ in got] == order
-        for i, vec, _ in got:
-            np.testing.assert_array_equal(vec, whole[i], err_msg=f"word {i}")
-
     def test_one_word_solve_agrees_and_solves_the_normal_equations(self, wide_growth):
         core, rows_of, words = wide_growth
-        group = list(words[:70])
+        group = words[:70]
         g, w = rows_of(group)
         for (i, vec, degenerate), gk, wk in zip(solve_words(core, rows_of, group, 2.0), g, w):
             assert not degenerate
@@ -235,7 +204,7 @@ class TestGroupSolve:
         core, rows_of, words = wide_growth
         flat = core.copy()
         flat[:, -1] = 0.0  # no core vector reaches the last dimension
-        group = list(words[:3])
+        group = words[:3]
         g, w = rows_of(group)
         for (i, vec, degenerate), gk, wk in zip(solve_words(flat, rows_of, group, 0.0), g, w):
             assert degenerate
@@ -264,16 +233,24 @@ def test_growth_solvers_refuse_mu(growth_setup, mu):
     with pytest.raises(ValueError, match="mu"):
         solve_noncore_word(np.zeros(4), np.ones(4), core, mu)
     with pytest.raises(ValueError, match="mu"):
-        list(solve_words(core, rows_of, [4, 5], mu))
+        list(solve_words(core, rows_of, range(4, 6), mu))
 
 
 @pytest.mark.parametrize("mu", [np.float64(2.0), np.float32(2.0), np.int64(2)],
                          ids=["float64", "float32", "int64"])
 def test_growth_solvers_accept_numpy_mu(growth_setup, mu):
     core, rows_of = growth_setup
-    g, w = rows_of([4])
+    g, w = rows_of(range(4, 5))
     np.testing.assert_array_equal(solve_noncore_word(g[0], w[0], core, mu),
                                   solve_noncore_word(g[0], w[0], core, 2.0))
-    (_, got, _), = solve_words(core, rows_of, [4], mu)
-    (_, expected, _), = solve_words(core, rows_of, [4], 2.0)
+    (_, got, _), = solve_words(core, rows_of, range(4, 5), mu)
+    (_, expected, _), = solve_words(core, rows_of, range(4, 5), 2.0)
     np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("words", [[4, 5], np.arange(4, 6), range(6, 4, -1), range(4, 9)],
+                         ids=["list", "array", "reversed", "beyond"])
+def test_solve_words_takes_a_step_one_range(growth_setup, words):
+    core, rows_of = growth_setup
+    with pytest.raises(ValueError, match=r"words must be a step-1 range inside the 8 vocabulary words"):
+        next(solve_words(core, rows_of, words, 2.0))

@@ -102,7 +102,7 @@ class TestUnigramDistribution:
         vocab = count_unigrams(iter(["a"]), min_count=9)
         table = CooccurrenceTable.from_rows(1, vocab, {})
         with pytest.raises(ValueError):
-            PmiRows([], table, PmiConfig())
+            PmiRows(range(0), table, PmiConfig())
 
 
 class TestSmoothedProbability:
@@ -228,16 +228,17 @@ class TestPmiBlock:
         assert abs(pmi[i, j] - expected) < 1e-12
 
     def test_transpose_symmetry_between_blocks(self):
+        # words 0-2 against words 3-7 read the first rows' forward counts,
+        # words 3-7 against words 0-2 read the reverse index
         rng = np.random.default_rng(3)
         words = [chr(ord("a") + k) * 2 for k in range(8)]
         tokens = [words[int(k)] for k in rng.integers(0, 8, 600)]
         vocab, table = make_table(tokens, 3)
         cfg = PmiConfig(lam=0.2)
-        rows, cols = range(0, 3), range(3, 8)
-        ab_g, ab_w, _ = pmi_block(rows, cols, table, cfg)
-        ba_g, ba_w, _ = pmi_block(cols, rows, table, cfg)
-        np.testing.assert_array_equal(ab_g, ba_g.T)
-        np.testing.assert_array_equal(ab_w, ba_w.T)
+        ab_g, ab_w = PmiRows(range(8), table, cfg)(range(0, 3))
+        ba_g, ba_w = PmiRows(range(3), table, cfg)(range(3, 8))
+        np.testing.assert_array_equal(ab_g[:, 3:], ba_g.T)
+        np.testing.assert_array_equal(ab_w[:, 3:], ba_w.T)
 
     def test_independence_null(self):
         # counts proportional to the product of unigram weights give zero PMI
@@ -271,40 +272,24 @@ class TestPmiRow:
         cols = np.arange(5)
         rows_of = PmiRows(cols, table, cfg, normalizer)
         for i in core:
-            g, w = rows_of([i])
+            g, w = rows_of(range(i, i + 1))
             np.testing.assert_array_equal(g[0], pmi[i])
             np.testing.assert_array_equal(w[0], weights[i])
-        # one batch of rows, in any order and with repeats, gives the same rows
-        order = [3, 0, 4, 3, 1, 2]
-        g, w = rows_of(order)
-        np.testing.assert_array_equal(g, pmi[order])
-        np.testing.assert_array_equal(w, weights[order])
-
-    def test_arbitrary_column_sets(self):
-        vocab, table = make_table(["a", "b", "a", "c", "b", "a"], 2)
-        cfg = PmiConfig(lam=0.0)
-        cols = np.array([vocab.index["c"], vocab.index["a"]])
-        g, w = PmiRows(cols, table, cfg)([vocab.index["b"]])
-        assert g.shape == (1, 2) and w.shape == (1, 2)
-        full, _, _ = pmi_block(range(3), range(3), table, cfg)
-        np.testing.assert_allclose(g[0], full[vocab.index["b"], cols])
+        # one range of rows gives the same rows
+        g, w = rows_of(range(1, 4))
+        np.testing.assert_array_equal(g, pmi[1:4])
+        np.testing.assert_array_equal(w, weights[1:4])
 
     WORDS = "a b c a b d a c b a d c b a".split()  # a 4-word vocabulary
 
-    def test_repeated_column_refused(self):
-        _, table = make_table(self.WORDS, 2)
-        g, _ = PmiRows([0, 1], table, PmiConfig())([2])
-        assert g[0, 0] == pytest.approx(0.413, abs=1e-3)
-        # a repeated column would take the reverse counts of its last position only
-        with pytest.raises(ValueError, match="repeat"):
-            PmiRows([0, 0, 1], table, PmiConfig())
-
-    COLUMNS, SCALE = r"column indices .* \[0, 4\)", r"normalizer .* \(0, 1\]"
+    COLUMNS = r"columns must be the first c of the 4 vocabulary words"
+    SCALE = r"normalizer .* \(0, 1\]"
 
     # a normalizer outside (0, 1], where the largest weight lies, is refused too
     @pytest.mark.parametrize("cols,normalizer,match", [
         ([-1, 1], 1.0, COLUMNS), ([0, 9], 1.0, COLUMNS), ([0, 1.7], 1.0, COLUMNS),
-        ([0, 1], None, SCALE), ([0, 1], 0.0, SCALE), ([0, 1], math.nan, SCALE), ([0, 1], 1.5, SCALE),
+        (range(2), None, SCALE), (range(2), 0.0, SCALE), (range(2), math.nan, SCALE),
+        (range(2), 1.5, SCALE),
     ], ids=["negative", "beyond", "fraction", "normalizer-none", "normalizer-zero",
             "normalizer-nan", "normalizer-above-one"])
     def test_column_outside_vocabulary_refused(self, cols, normalizer, match):
@@ -312,12 +297,29 @@ class TestPmiRow:
         with pytest.raises(ValueError, match=match):
             PmiRows(cols, table, PmiConfig(), normalizer)
 
-    @pytest.mark.parametrize("rows", [[-1], [2, 4], [[1, 2]], [2.9], [True]],
+    @pytest.mark.parametrize("cols", [
+        range(1, 3), np.array([1, 0]), [0, 0, 1], range(0, 4, 2), range(5), np.array([False]),
+    ], ids=["not-leading", "out-of-order", "repeated", "step-2", "wider-than-vocabulary", "bool"])
+    def test_columns_are_the_first_words(self, cols):
+        _, table = make_table(self.WORDS, 2)
+        with pytest.raises(ValueError, match=self.COLUMNS):
+            PmiRows(cols, table, PmiConfig())
+        g, _ = PmiRows(np.arange(2), table, PmiConfig())(range(2, 3))  # an equal integer array is taken
+        assert g[0, 0] == pytest.approx(0.413, abs=1e-3)
+
+    @pytest.mark.parametrize("rows", [range(-1, 1), range(2, 5), [[1, 2]], [2.9], [True]],
                              ids=["negative", "beyond", "2-d", "fraction", "bool"])
     def test_row_outside_vocabulary_refused(self, rows):
         _, table = make_table(self.WORDS, 2)
-        with pytest.raises(ValueError, match=r"row indices .* \[0, 4\)"):
-            PmiRows([0, 1], table, PmiConfig())(rows)
+        with pytest.raises(ValueError, match=r"rows must be a step-1 range inside the 4 vocabulary words"):
+            PmiRows(range(2), table, PmiConfig())(rows)
+
+    @pytest.mark.parametrize("rows", [[2], np.arange(2, 4), range(0, 4, 2), range(3, 1)],
+                             ids=["list", "array", "step-2", "reversed"])
+    def test_rows_are_a_step_one_range(self, rows):
+        _, table = make_table(self.WORDS, 2)
+        with pytest.raises(ValueError, match=r"rows must be a step-1 range"):
+            PmiRows(range(2), table, PmiConfig())(rows)
 
 
 class TestWeightNormalizer:
@@ -353,8 +355,8 @@ class TestInPlaceBlock:
         if cap is not None:
             uncapped = pmi_rows_oracle(list(core), list(core), table, PmiConfig(lam=lam, alpha=alpha))[1]
             assert np.any(uncapped != w)  # the cap binds
-        rows, cols = [45, 3, 59, 45, 0], [7, 50, 2, 33]
-        g, w = pmi_rows_oracle(rows, cols, table, cfg, normalizer)
+        rows, cols = range(20, 60), range(33)  # rows within the columns and beyond them
+        g, w = pmi_rows_oracle(list(rows), list(cols), table, cfg, normalizer)
         got_g, got_w = PmiRows(cols, table, cfg, normalizer)(rows)
         assert got_g.tobytes() == g.tobytes()
         assert got_w.tobytes() == w.tobytes()
@@ -372,3 +374,22 @@ class TestInPlaceBlock:
         finally:
             tracemalloc.stop()
         assert peak / (8 * n * n) <= 2.6
+
+    def test_reverse_index_memory(self):
+        # the reverse index keeps 12 bytes per entry of the column words'
+        # rows; its one argsort and the entries' row positions come on top
+        rng = np.random.default_rng(23)
+        n, c, per_row = 1000, 200, 400
+        vocab = Vocabulary([f"w{k:04d}" for k in range(n)], list(range(n + 1, 1, -1)), n * (n + 3) // 2)
+        contexts = np.sort(rng.random((n, n)).argsort(axis=1)[:, :per_row], axis=1)
+        table = CooccurrenceTable(2, vocab, np.arange(n + 1) * per_row, contexts.ravel(),
+                                  rng.integers(1, 50, n * per_row))
+        entries = int(table.indptr[c])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            PmiRows(range(c), table, PmiConfig())
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / entries <= 32
