@@ -443,20 +443,11 @@ class TestTableInvariants:
             ([0, 2, 2], [1, 1], [1, 1]),     # duplicate column
             ([0, 2, 2], [0, 2], [1, 1]),     # column out of range
             ([0, 2, 2], [0, 1], [1, 0]),     # zero count
+            ([0, 1, 1], [0.7], [1.5]),       # not integers: would become context 0, count 1
+            ([0.0, 2.0, 2.0], [0, 1], [1, 1]),  # float row pointers
         ]:
             with pytest.raises(ValueError):
                 CooccurrenceTable(1, vocab, np.array(indptr), np.array(indices), np.array(counts))
-
-    @pytest.mark.parametrize("which", [0, 1, 2], ids=["indptr", "indices", "counts"])
-    def test_csr_arrays_must_hold_integers(self, which):
-        vocab = count_unigrams(iter(["a", "b"]))
-        arrays = [[0, 1, 1], [0.7], [1.5]]
-        with pytest.raises(ValueError, match="must hold integers"):
-            CooccurrenceTable(1, vocab, *arrays)  # would become context 0 with count 1
-        arrays = [np.array([0, 1, 1]), np.array([1]), np.array([2])]
-        arrays[which] = arrays[which].astype(float)
-        with pytest.raises(ValueError, match="must hold integers"):
-            CooccurrenceTable(1, vocab, *arrays)
 
     def test_csr_shape_and_span_checked(self):
         vocab = count_unigrams(iter(["a", "b"]))

@@ -285,40 +285,30 @@ class TestPmiRow:
     COLUMNS = r"columns must be the first c of the 4 vocabulary words"
     SCALE = r"normalizer .* \(0, 1\]"
 
-    # a normalizer outside (0, 1], where the largest weight lies, is refused too
+    # columns other than the first c words, and a normalizer outside (0, 1],
+    # where the largest weight lies, are refused
     @pytest.mark.parametrize("cols,normalizer,match", [
         ([-1, 1], 1.0, COLUMNS), ([0, 9], 1.0, COLUMNS), ([0, 1.7], 1.0, COLUMNS),
+        (range(1, 3), 1.0, COLUMNS), (np.array([1, 0]), 1.0, COLUMNS), ([0, 0, 1], 1.0, COLUMNS),
+        (range(0, 4, 2), 1.0, COLUMNS), (range(5), 1.0, COLUMNS), (np.array([False]), 1.0, COLUMNS),
         (range(2), None, SCALE), (range(2), 0.0, SCALE), (range(2), math.nan, SCALE),
         (range(2), 1.5, SCALE),
-    ], ids=["negative", "beyond", "fraction", "normalizer-none", "normalizer-zero",
+    ], ids=["negative", "beyond", "fraction", "not-leading", "out-of-order", "repeated", "step-2",
+            "wider-than-vocabulary", "bool", "normalizer-none", "normalizer-zero",
             "normalizer-nan", "normalizer-above-one"])
     def test_column_outside_vocabulary_refused(self, cols, normalizer, match):
         _, table = make_table(self.WORDS, 2)
         with pytest.raises(ValueError, match=match):
             PmiRows(cols, table, PmiConfig(), normalizer)
 
-    @pytest.mark.parametrize("cols", [
-        range(1, 3), np.array([1, 0]), [0, 0, 1], range(0, 4, 2), range(5), np.array([False]),
-    ], ids=["not-leading", "out-of-order", "repeated", "step-2", "wider-than-vocabulary", "bool"])
-    def test_columns_are_the_first_words(self, cols):
-        _, table = make_table(self.WORDS, 2)
-        with pytest.raises(ValueError, match=self.COLUMNS):
-            PmiRows(cols, table, PmiConfig())
-        g, _ = PmiRows(np.arange(2), table, PmiConfig())(range(2, 3))  # an equal integer array is taken
-        assert g[0, 0] == pytest.approx(0.413, abs=1e-3)
-
-    @pytest.mark.parametrize("rows", [range(-1, 1), range(2, 5), [[1, 2]], [2.9], [True]],
-                             ids=["negative", "beyond", "2-d", "fraction", "bool"])
+    # rows are a step-1 range inside the vocabulary
+    @pytest.mark.parametrize("rows", [
+        range(-1, 1), range(2, 5), [[1, 2]], [2.9], [True],
+        [2], np.arange(2, 4), range(0, 4, 2), range(3, 1),
+    ], ids=["negative", "beyond", "2-d", "fraction", "bool", "list", "array", "step-2", "reversed"])
     def test_row_outside_vocabulary_refused(self, rows):
         _, table = make_table(self.WORDS, 2)
         with pytest.raises(ValueError, match=r"rows must be a step-1 range inside the 4 vocabulary words"):
-            PmiRows(range(2), table, PmiConfig())(rows)
-
-    @pytest.mark.parametrize("rows", [[2], np.arange(2, 4), range(0, 4, 2), range(3, 1)],
-                             ids=["list", "array", "step-2", "reversed"])
-    def test_rows_are_a_step_one_range(self, rows):
-        _, table = make_table(self.WORDS, 2)
-        with pytest.raises(ValueError, match=r"rows must be a step-1 range"):
             PmiRows(range(2), table, PmiConfig())(rows)
 
 
