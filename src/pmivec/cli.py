@@ -13,6 +13,9 @@ core block's weight normalizer and the SHA-256 of its count files and of its
 `.vec`, as growth does.  `factorize-noncore` extends only a solve whose
 manifest it reads: it takes the weighting and the normalizer from there, and
 refuses count files or a `--core-vec` whose SHA-256 is not the one recorded.
+Each stage imports the layers it runs inside its `cmd_*` function, so a stage
+process loads only those: `count-unigrams` runs without numpy, and `main`
+looks numpy's `LinAlgError` up only when a stage has raised.
 """
 
 from __future__ import annotations
@@ -24,33 +27,9 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .core_solver import CoreSolveConfig, em_factorize
-from .corpus import (
-    count_bigrams,
-    count_unigrams,
-    load_bigrams,
-    load_unigrams,
-    save_bigrams,
-    save_unigrams,
-    tokenize,
-)
-from .embeddings import EmbeddingSet, load_vec, save_vec
-from .evaluation import (
-    eval_analogy_3cosmul,
-    eval_choice,
-    eval_similarity,
-    format_report_keyvalues,
-    format_report_table,
-    load_analogy,
-    load_choice,
-    load_similarity,
-)
-from .incremental import solve_words
 from .ioutil import atomic_write, check_setting, file_sha256, open_utf8
-from .statistics import PmiConfig, PmiRows, pmi_block
+from .settings import CoreSolveConfig, PmiConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,12 +74,14 @@ def _write_manifest(args: argparse.Namespace, started: float, inputs: list[str],
 def _load_counts(args):
     """The vocabulary and pair table of ``args.unigrams`` and ``args.bigrams``,
     and the SHA-256 of both files."""
+    from .corpus import load_bigrams, load_unigrams
     vocab = load_unigrams(args.unigrams)
     table = load_bigrams(args.bigrams, vocab)
     return vocab, table, {"bigrams": table.text_sha256, "unigrams": file_sha256(args.unigrams)}
 
 
 def cmd_count_unigrams(args) -> tuple[list[str], dict, str]:
+    from .corpus import count_unigrams, save_unigrams, tokenize
     with open_utf8(args.input) as fh:
         vocab = count_unigrams(tokenize(fh), min_count=args.min_count)
     save_unigrams(vocab, args.out)
@@ -108,6 +89,7 @@ def cmd_count_unigrams(args) -> tuple[list[str], dict, str]:
 
 
 def cmd_count_bigrams(args) -> tuple[list[str], dict, str]:
+    from .corpus import count_bigrams, load_unigrams, save_bigrams, tokenize
     vocab = load_unigrams(args.unigrams)
     with open_utf8(args.input) as fh:
         table = count_bigrams(tokenize(fh), vocab, args.window)
@@ -117,6 +99,9 @@ def cmd_count_bigrams(args) -> tuple[list[str], dict, str]:
 
 
 def cmd_factorize_core(args) -> tuple[list[str], dict, str]:
+    from .core_solver import em_factorize
+    from .embeddings import EmbeddingSet, save_vec
+    from .statistics import pmi_block
     vocab, table, digests = _load_counts(args)
     if not args.dim <= args.core_size <= len(vocab):
         raise ValueError(
@@ -168,6 +153,11 @@ def _core_manifest(core_vec: str) -> tuple[PmiConfig, float, dict[str, str], str
 
 
 def cmd_factorize_noncore(args) -> tuple[list[str], dict, str]:
+    import numpy as np
+
+    from .embeddings import EmbeddingSet, load_vec, save_vec
+    from .incremental import solve_words
+    from .statistics import PmiRows
     cfg, normalizer, recorded, vec_digest = _core_manifest(args.core_vec)
     if file_sha256(args.core_vec) != vec_digest:
         raise ValueError(f"{args.core_vec} is not the .vec its manifest describes: its SHA-256 "
@@ -214,20 +204,18 @@ def cmd_factorize_noncore(args) -> tuple[list[str], dict, str]:
         "vec_sha256": file_sha256(args.out)}, summary
 
 
-_TESTSET_KINDS = (
-    ("*.sim.tsv", load_similarity, eval_similarity),
-    ("*.ana.txt", load_analogy, eval_analogy_3cosmul),
-    ("*.mc.txt", load_choice, eval_choice),
-)
-
-
 def cmd_evaluate(args) -> tuple[list[str], dict, str]:
+    from . import evaluation as ev
+    from .embeddings import load_vec
     testset_dir = Path(args.testset_dir)
     if not testset_dir.is_dir():
         raise FileNotFoundError(f"testset directory not found: {testset_dir}")
     emb = load_vec(args.vec)
     reports, seen = [], {}
-    for pattern, loader, scorer in _TESTSET_KINDS:
+    kinds = (("*.sim.tsv", ev.load_similarity, ev.eval_similarity),
+             ("*.ana.txt", ev.load_analogy, ev.eval_analogy_3cosmul),
+             ("*.mc.txt", ev.load_choice, ev.eval_choice))
+    for pattern, loader, scorer in kinds:
         for path in sorted(testset_dir.glob(pattern)):
             name = path.name.split(".")[0]
             if name in seen:
@@ -236,7 +224,7 @@ def cmd_evaluate(args) -> tuple[list[str], dict, str]:
             reports.append(scorer(emb, loader(path), name=name))
     if not reports:
         raise ValueError(f"no testsets found in {testset_dir}")
-    text = format_report_table(reports) + "\n\n" + format_report_keyvalues(reports)
+    text = ev.format_report_table(reports) + "\n\n" + ev.format_report_keyvalues(reports)
     with atomic_write(args.out) as fh:
         fh.write(text + "\n")
     return [args.vec, args.testset_dir], {}, text
@@ -316,10 +304,11 @@ def main(argv=None) -> int:
         inputs, extra, summary = args.func(args)
         _write_manifest(args, started, inputs, extra)
         print(summary)  # only once the output and its manifest are both written
-    except np.linalg.LinAlgError as exc:  # a ValueError, so it goes first
-        print(f"pmivec: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except (OSError, ValueError) as exc:
+        linalg = sys.modules.get("numpy.linalg")  # loaded by any stage that can raise its error
+        if linalg is not None and isinstance(exc, linalg.LinAlgError):
+            print(f"pmivec: numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
         print(f"pmivec: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK

@@ -29,22 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ioutil import check_setting
-
-
-@dataclass(frozen=True)
-class CoreSolveConfig:
-    """Embedding dimension plus stopping rule (relative residual change)."""
-
-    dim: int
-    max_iters: int = 20
-    tol: float = 1e-4
-
-    def __post_init__(self):
-        check_setting("dim", self.dim, 1, integral=True)
-        check_setting("max_iters", self.max_iters, 1, integral=True)
-        check_setting("tol", self.tol, 0.0, above=True)
-
+from .settings import CoreSolveConfig
 
 #: Oversampling of the first Krylov block, and block steps of the first and later sweeps.
 _OVERSAMPLE, _FIRST_STEPS, _WARM_STEPS = 16, 4, 1

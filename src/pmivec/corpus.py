@@ -7,6 +7,10 @@ is made solely of ASCII letters.  An empty line separates documents.
 Pair counts live in one CSR table.  ``save_bigrams`` writes them as text plus
 a binary companion, which ``load_bigrams`` reads instead of parsing the text
 whenever it was written for that very text and vocabulary.
+
+The unigram path (``tokenize``, ``Vocabulary``, ``count_unigrams`` and the
+unigram file) is pure Python: numpy is imported only by the pair-table code
+that uses it, so ``count-unigrams`` runs without loading it.
 """
 
 from __future__ import annotations
@@ -20,11 +24,12 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .ioutil import ParseError, atomic_write, check_setting, file_sha256, open_utf8, sha256
+
+if TYPE_CHECKING:  # annotations only; the pair-table code imports numpy itself
+    import numpy as np
 
 #: Emitted between documents; counting windows never cross it.
 DOC_BREAK = None
@@ -81,8 +86,8 @@ class Vocabulary:
     """Words ordered by descending count (ties lexicographic) with counts.
 
     ``total_tokens`` is the corpus token count before any frequency
-    filtering.  Word positions define the index space of every matrix row
-    and column downstream.
+    filtering, so it is at least the sum of the counts.  Word positions
+    define the index space of every matrix row and column downstream.
     """
 
     words: list[str]
@@ -103,6 +108,8 @@ class Vocabulary:
             if prev is not None and c > prev:
                 raise ValueError("counts are not sorted non-increasing")
             prev = c
+        if self.total_tokens < (kept := sum(self.counts)):
+            raise ValueError(f"total_tokens {self.total_tokens} is below {kept}, the sum of the counts")
         self.index = {}
         for k, w in enumerate(self.words):
             if w in self.index:
@@ -126,13 +133,14 @@ def count_unigrams(tokens: Iterable[str | None], min_count: int = 1) -> Vocabula
     return Vocabulary([w for w, _ in kept], [c for _, c in kept], counts.total())
 
 
-#: Largest pair count a table holds; its counts are stored as int32.
-MAX_COUNT = int(np.iinfo(np.int32).max)
+#: Largest pair count a table holds: its counts are stored as int32.
+MAX_COUNT = 2**31 - 1
 
 
 def _check_csr(indptr, indices, counts, n: int) -> None:
     """Raise ValueError unless the arrays form a valid ordered-pair CSR over
     ``n`` words.  Every check is vectorized."""
+    import numpy as np
     if indptr.ndim != 1 or indices.ndim != 1 or counts.ndim != 1:
         raise ValueError("CSR arrays must be 1-d")
     if any(a.dtype.kind not in "iu" for a in (indptr, indices, counts)):
@@ -160,6 +168,7 @@ def _csr_from_keys(keys: np.ndarray, n: int, weights: np.ndarray | None = None):
     """CSR arrays from pair keys ``i * n + j``.  Equal keys add up: each
     occurrence counts 1, or its entry of ``weights``.  Without weights
     ``keys`` is sorted in place."""
+    import numpy as np
     if weights is None:
         keys.sort()
     else:
@@ -205,6 +214,7 @@ class CooccurrenceTable:
     text_sha256: str | None = field(init=False, default=None)
 
     def __post_init__(self):
+        import numpy as np
         check_setting("window", self.window, 1, integral=True)
         indptr, indices, counts = (np.asarray(a) for a in (self.indptr, self.indices, self.counts))
         _check_csr(indptr, indices, counts, len(self.vocab))
@@ -217,6 +227,7 @@ class CooccurrenceTable:
     def from_rows(cls, window: int, vocab: Vocabulary,
                   rows: dict[int, dict[int, int]]) -> "CooccurrenceTable":
         """Build a table from ``{leading index: {context index: count}}``."""
+        import numpy as np
         n = len(vocab)
         lead = [i for i, row in rows.items() for _ in row]
         ctx = [j for row in rows.values() for j in row]
@@ -229,6 +240,7 @@ class CooccurrenceTable:
         return cls(window, vocab, *_csr_from_keys(keys, n, counts))
 
     def __eq__(self, other):
+        import numpy as np
         if not isinstance(other, CooccurrenceTable):
             return NotImplemented
         return (
@@ -241,6 +253,7 @@ class CooccurrenceTable:
 
     def pairs(self) -> Iterator[tuple[int, int, int]]:
         """Yield ``(leading index, context index, count)`` in row order."""
+        import numpy as np
         leading = np.repeat(np.arange(len(self.vocab)), np.diff(self.indptr))
         return zip(leading.tolist(), self.indices.tolist(), self.counts.tolist())
 
@@ -255,6 +268,7 @@ def count_bigrams(
     one offset at a time over the whole stream, and a running count of
     document breaks masks the pairs that would cross one.
     """
+    import numpy as np
     check_setting("window", window, 1, integral=True)
     if len(vocab) == 0:
         raise ValueError("vocabulary is empty")
@@ -327,6 +341,8 @@ def load_unigrams(path) -> Vocabulary:
             seen.add(word)
             words.append(word)
             counts.append(count)
+    if total < (kept := sum(counts)):  # after the whole file: a bad byte below is reported first
+        raise ParseError(path, 1, f"total token count {total} is below {kept}, the sum of the word counts")
     return Vocabulary(words, counts, total)
 
 
@@ -349,6 +365,7 @@ def save_bigrams(table: CooccurrenceTable, path) -> None:
     writes the binary companion ``<path>.csr`` that :func:`load_bigrams`
     reads instead of parsing this text.
     """
+    import numpy as np
     ptr = table.indptr
     names = [w.encode("utf-8") for w in table.vocab.words]
     prefixes = np.array([b"\t" + name + b":" for name in names], dtype=object)
@@ -411,6 +428,7 @@ def _words_digest(vocab: Vocabulary) -> bytes:
 def _save_companion(table: CooccurrenceTable, path: str, text_digest: bytes) -> None:
     """Write the companion with deterministic bytes; arrays are streamed
     straight from the table, never concatenated."""
+    import numpy as np
     head = _CSR_HEAD.pack(_CSR_MAGIC, table.window, len(table.vocab), len(table.indices),
                           text_digest, _words_digest(table.vocab))
     check = 0
@@ -426,6 +444,7 @@ def _load_companion(path, vocab: Vocabulary, text_digest: bytes) -> Cooccurrence
     """The table stored in the companion of ``path``, whose text has the
     SHA-256 ``text_digest``, or None when the companion is missing,
     unreadable, damaged, or was written for another text or vocabulary."""
+    import numpy as np
     try:
         with open(companion_path(path), "rb") as fh:
             blob = fh.read()
@@ -469,6 +488,7 @@ def load_bigrams(path, vocab: Vocabulary) -> CooccurrenceTable:
 
 
 def _parse_bigrams(path, vocab: Vocabulary) -> CooccurrenceTable:
+    import numpy as np
     n = len(vocab)
     keys = array("q")
     counts = array("q")

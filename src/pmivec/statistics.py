@@ -20,32 +20,14 @@ become the PMI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .corpus import CooccurrenceTable, Vocabulary
 from .ioutil import check_setting
+from .settings import PmiConfig
 
 #: Entries of the smoothing step's temporary, which takes whole rows.
 _SMOOTH_CHUNK = 1 << 16
-
-
-@dataclass(frozen=True)
-class PmiConfig:
-    """Jelinek-Mercer weight ``lam`` between the empirical pair probability
-    (weight 1 - lam) and the unigram product (weight lam); a pair probability
-    p has fit weight min(p, cap) ** alpha, divided by the core block maximum."""
-
-    lam: float = 0.1
-    alpha: float = 0.5
-    cap: float | None = None
-
-    def __post_init__(self):
-        check_setting("lam", self.lam, 0.0, 1.0)
-        check_setting("alpha", self.alpha, 0.0, above=True)
-        if self.cap is not None:
-            check_setting("cap", self.cap, 0.0, above=True)
 
 
 def unigram_probs(vocab: Vocabulary) -> np.ndarray:

@@ -263,6 +263,29 @@ def small_pipeline(tmp_path_factory):
     return {"root": root, "corpus": corpus, "unigrams": uni, "bigrams": bi}
 
 
+@pytest.mark.parametrize("stage", ["count-bigrams", "factorize-core", "factorize-noncore"])
+def test_unigram_total_below_the_counts_is_data_error(small_pipeline, tmp_path, capsys, stage):
+    data = ["--bigrams", str(small_pipeline["bigrams"]), "--unigrams", str(small_pipeline["unigrams"])]
+    core = tmp_path / "core.vec"
+    assert main(["factorize-core", *data, "--core-size", "10", "--dim", "4", "--out", str(core)]) == 0
+    uni = tmp_path / "uni.txt"
+    uni.write_text("#total 2\n" + small_pipeline["unigrams"].read_text().split("\n", 1)[1])
+    argv = {
+        "count-bigrams": ["--input", str(small_pipeline["corpus"]), "--unigrams", str(uni)],
+        "factorize-core": ["--bigrams", str(small_pipeline["bigrams"]), "--unigrams", str(uni),
+                           "--core-size", "10", "--dim", "4"],
+        "factorize-noncore": ["--bigrams", str(small_pipeline["bigrams"]), "--unigrams", str(uni),
+                              "--core-vec", str(core), "--count", "4", "--mu", "1.0"],
+    }[stage]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([stage, *argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "uni.txt:1: total token count 2 is below " in captured.err
+    assert captured.out == "" and not out.exists()
+    assert not Path(str(out) + ".manifest.json").exists()
+
+
 MANIFEST_KEYS = ["subcommand", "version", "arguments", "inputs", "outputs", "wall_time_s"]
 
 
@@ -396,7 +419,7 @@ class TestFactorizeCore:
         def diverge(target, weights, cfg):
             raise np.linalg.LinAlgError("eigendecomposition did not converge")
 
-        monkeypatch.setattr("pmivec.cli.em_factorize", diverge)
+        monkeypatch.setattr("pmivec.core_solver.em_factorize", diverge)
         out = tmp_path / "core.vec"
         code = main([
             "factorize-core", "--bigrams", str(small_pipeline["bigrams"]),
@@ -406,19 +429,22 @@ class TestFactorizeCore:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
+        assert not Path(str(out) + ".manifest.json").exists()
 
     def test_write_failure_is_data_error(self, small_pipeline, tmp_path, monkeypatch, capsys):
         def full_disk(emb, path):
             raise OSError(errno.ENOSPC, "No space left on device", str(path))
 
-        monkeypatch.setattr("pmivec.cli.save_vec", full_disk)
+        monkeypatch.setattr("pmivec.embeddings.save_vec", full_disk)
+        out = tmp_path / "core.vec"
         code = main([
             "factorize-core", "--bigrams", str(small_pipeline["bigrams"]),
             "--unigrams", str(small_pipeline["unigrams"]),
-            "--core-size", "10", "--dim", "4", "--out", str(tmp_path / "core.vec"),
+            "--core-size", "10", "--dim", "4", "--out", str(out),
         ])
         assert code == 2
         assert "No space left on device" in capsys.readouterr().err
+        assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
 
     def test_summary_follows_the_manifest(self, small_pipeline, tmp_path, monkeypatch, capsys):
         argv = ["factorize-core", "--bigrams", str(small_pipeline["bigrams"]),

@@ -173,6 +173,12 @@ class TestVocabularyInvariants:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             Vocabulary(["a", "b"], counts, total)
 
+    def test_rejects_total_below_the_counts(self):
+        # the total counts the corpus before filtering, so it is at least the kept counts' sum
+        with pytest.raises(ValueError, match="total_tokens 2 is below 8, the sum of the counts"):
+            Vocabulary(["a", "b"], [5, 3], 2)
+        assert Vocabulary(["a", "b"], [5, 3], 8).total_tokens == 8
+
     def test_accepts_numpy_integer_counts(self):
         vocab = Vocabulary(["a", "b"], [np.int64(2), np.int32(1)], np.int64(3))
         assert vocab.counts == [2, 1] and vocab.total_tokens == 3
@@ -304,8 +310,9 @@ class TestUnigramFiles:
         ("#total 5\na\t3\nb 1\n", "bad.txt:3: expected 'word<TAB>count'"),
         ("#total 5\na\t2\nb\t3\n", "bad.txt:3: counts are not sorted non-increasing"),
         ("#total 5\na\t3\n\nb\t-1\n", "bad.txt:4: count -1 is not strictly positive"),
+        ("#total 2\na\t5\nb\t3\n", "bad.txt:1: total token count 2 is below 8, the sum"),
     ], ids=["total-text", "total-negative", "three-fields", "one-field", "increasing",
-            "after-blank-line"])
+            "after-blank-line", "total-below-counts"])
     def test_parse_errors_name_the_line(self, tmp_path, text, where):
         path = tmp_path / "bad.txt"
         path.write_text(text)
