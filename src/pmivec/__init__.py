@@ -26,6 +26,4 @@ __all__ = sorted(_HOME)
 def __getattr__(name: str):
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
-    globals()[name] = value  # later lookups skip this function
-    return value
+    return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
