@@ -164,10 +164,33 @@ def _check_csr(indptr, indices, counts, n: int) -> None:
             raise ValueError("context indices are not sorted and unique within a row")
 
 
+#: Entries of the run-start mask that one ``np.flatnonzero`` call scans, so
+#: its int64 result stays small beside the run starts it fills.
+_RUN_SLICE = 1 << 18
+
+
+def _run_starts(fresh: np.ndarray) -> np.ndarray:
+    """The positions of the True entries of ``fresh``, then ``fresh.size``,
+    in one array: int32 unless ``fresh`` is longer than ``MAX_COUNT``.
+    ``np.flatnonzero`` scans ``_RUN_SLICE`` entries a call."""
+    import numpy as np
+    starts = np.empty(np.count_nonzero(fresh) + 1, dtype=np.int32 if fresh.size <= MAX_COUNT else np.int64)
+    at = 0
+    for lo in range(0, fresh.size, _RUN_SLICE):
+        found = np.flatnonzero(fresh[lo : lo + _RUN_SLICE])
+        part = starts[at : at + found.size]
+        part[:] = found
+        part += lo
+        at += found.size
+    starts[-1] = fresh.size
+    return starts
+
+
 def _csr_from_keys(keys: np.ndarray, n: int, weights: np.ndarray | None = None):
     """CSR arrays from pair keys ``i * n + j``.  Equal keys add up: each
     occurrence counts 1, or its entry of ``weights``.  Without weights
-    ``keys`` is sorted in place."""
+    ``keys`` is sorted in place, and the one temporary per distinct pair
+    is the run starts (see :func:`_run_starts`)."""
     import numpy as np
     if weights is None:
         keys.sort()
@@ -177,19 +200,23 @@ def _csr_from_keys(keys: np.ndarray, n: int, weights: np.ndarray | None = None):
     fresh = np.empty(keys.size, dtype=bool)
     fresh[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-    starts = np.flatnonzero(fresh)
-    del fresh
     if weights is None:
-        counts = np.diff(starts, append=keys.size)
+        starts = _run_starts(fresh)
+        del fresh
+        unique = keys[starts[:-1]]
+        counts = np.subtract(starts[1:], starts[:-1])
+        del starts
     else:
+        starts = np.flatnonzero(fresh)
+        del fresh
         counts = np.add.reduceat(weights, starts, dtype=np.int64) if keys.size else weights
+        unique = keys[starts]
+        del starts
     if counts.size and counts.max() > MAX_COUNT:
         raise ValueError(f"a pair count exceeds {MAX_COUNT}, the largest a table holds")
-    unique = keys[starts]
-    del starts
     indptr = np.searchsorted(unique, np.arange(n + 1, dtype=unique.dtype) * n)
     np.remainder(unique, max(n, 1), out=unique)
-    return indptr, unique.astype(np.int32), counts.astype(np.int32)
+    return indptr, unique.astype(np.int32, copy=False), counts.astype(np.int32, copy=False)
 
 
 @dataclass(eq=False)
@@ -279,20 +306,31 @@ def count_bigrams(
     breaks = stream == -2
     doc = np.cumsum(breaks, dtype=np.int32)[~breaks]
     ids = stream[~breaks]
-    del stream, breaks
-    pairable = [(ids[:-k] >= 0) & (ids[k:] >= 0) & (doc[:-k] == doc[k:])
-                for k in range(1, min(window, len(ids)) + 1)]
-    # keys i * n + j, in int32 whenever every key fits
-    keys = np.empty(sum(int(ok.sum()) for ok in pairable),
-                    dtype=np.int32 if n * n <= MAX_COUNT else np.int64)
+    del lookup, stream, breaks
+    known = ids >= 0
+    offsets = range(1, min(window, len(ids)) + 1)
+
+    def pairable(k: int) -> np.ndarray:
+        ok = known[:-k] & known[k:]
+        ok &= doc[:-k] == doc[k:]
+        return ok
+
+    # one offset's mask at a time: a counting pass sizes the keys, a filling
+    # pass writes them; keys are i * n + j, in int32 whenever every key fits
+    sizes = [int(np.count_nonzero(pairable(k))) for k in offsets]
+    keys = np.empty(sum(sizes), dtype=np.int32 if n * n <= MAX_COUNT else np.int64)
     at = 0
-    for offset, ok in enumerate(pairable, start=1):
-        part = keys[at : at + int(ok.sum())]
-        np.multiply(ids[:-offset][ok], n, out=part, dtype=keys.dtype)
-        part += ids[offset:][ok]
-        at += part.size
-    del pairable, doc
-    return CooccurrenceTable(window, vocab, *_csr_from_keys(keys, n))
+    for k, size in zip(offsets, sizes):
+        ok = pairable(k)
+        part = keys[at : at + size]
+        np.multiply(ids[:-k][ok], n, out=part, dtype=keys.dtype)
+        part += ids[k:][ok]
+        at += size
+        del ok, part  # a view of the keys
+    del ids, doc, known
+    csr = _csr_from_keys(keys, n)
+    del keys  # before the table's checks run
+    return CooccurrenceTable(window, vocab, *csr)
 
 
 def save_unigrams(vocab: Vocabulary, path) -> None:

@@ -100,11 +100,13 @@ def spearman(xs, ys) -> float:
 
 def _unit_rows(emb: EmbeddingSet) -> tuple[np.ndarray, dict[str, int]]:
     """Row-normalized vectors plus the row index of each word that has a
-    direction: the vocabulary the scorers see."""
+    direction: the vocabulary the scorers see.  One division makes the one
+    new n x d array.  A row whose norm is 0, even one of entries too small
+    to square, is divided by 1 and then set to zero, so it is never scored."""
     norms = np.linalg.norm(emb.vectors, axis=1)
     usable = norms > 0.0
-    unit = np.zeros_like(emb.vectors)
-    unit[usable] = emb.vectors[usable] / norms[usable, None]
+    unit = emb.vectors / np.where(usable, norms, 1.0)[:, None]
+    unit[~usable] = 0.0
     return unit, {w: i for w, i in emb.index.items() if usable[i]}
 
 

@@ -78,7 +78,7 @@ class PmiRows:
     Each entry comes from the symmetrized count c(i, j) + c(j, i) of the
     table: the forward counts c(i, j) are row ``i``'s entries with context
     below c, and the reverse counts c(j, i) come from the first c rows,
-    indexed by context once here (12 bytes per entry of those rows, plus 8
+    indexed by context once here (8 bytes per entry of those rows, plus 8
     per vocabulary word).  A call then costs the nonzeros of the requested
     rows plus one dense row per word.  ``normalizer``, in (0, 1], divides
     the weights: growth passes the core block's, which ``pmi_block`` returns
@@ -103,7 +103,7 @@ class PmiRows:
         order = np.argsort(ctx)
         self.rev_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(ctx, minlength=n), out=self.rev_indptr[1:])
-        self.rev_pos = _entries(table.indptr, range(c))[0][order]
+        self.rev_pos = np.repeat(np.arange(c, dtype=np.int32), np.diff(table.indptr[:c + 1]))[order]
         self.rev_counts = table.counts[:len(ctx)][order]
 
     def _gather(self, rows: range) -> np.ndarray:

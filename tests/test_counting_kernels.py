@@ -1,6 +1,7 @@
-"""The counting kernels against the per-pair writer and per-line tokenizer
-they replaced, kept here as oracles: the bigram text and its companion, and
-the token stream, must not change by one byte or one token."""
+"""The counting kernels against the per-pair writer, per-line tokenizer and
+run-length code they replaced, kept here as oracles: the bigram text and its
+companion, the token stream and the pair table must not change by one byte
+or one token."""
 
 import io
 import os
@@ -8,6 +9,7 @@ import string
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -23,6 +25,7 @@ from pmivec.corpus import (
     CooccurrenceTable,
     Vocabulary,
     companion_path,
+    count_bigrams,
     save_bigrams,
     tokenize,
 )
@@ -199,3 +202,77 @@ def test_saving_a_million_pairs_stays_in_bounded_memory():
     pairs, grown = map(int, done.stdout.split())
     assert pairs == 1_000_000
     assert grown < 8 * 2**20, f"peak RSS rose by {grown / 2**20:.1f} MB"
+
+
+@st.composite
+def key_arrays(draw):
+    """Pair keys ``i * n + j`` in int32 or int64: empty, one key, all equal,
+    or runs of equal keys long enough to cross small slice boundaries."""
+    n = draw(st.integers(1, 6))
+    key = st.integers(0, n * n - 1)
+    runs = draw(st.one_of(
+        st.just([]),
+        st.lists(st.tuples(key, st.integers(1, 9)), min_size=1, max_size=1),
+        st.lists(st.tuples(key, st.integers(1, 9)), max_size=12),
+    ))
+    keys = [k for k, length in runs for _ in range(length)]
+    return n, np.array(draw(st.permutations(keys)), dtype=draw(st.sampled_from([np.int32, np.int64])))
+
+
+@SETTINGS
+@given(key_arrays(), st.integers(1, 5))
+def test_run_lengths_match_np_unique(drawn, run_slice):
+    n, keys = drawn
+    unique, counts = np.unique(keys, return_counts=True)
+    with mock.patch.object(corpus, "_RUN_SLICE", run_slice):
+        indptr, indices, got = corpus._csr_from_keys(keys.copy(), n)
+    assert (indptr.dtype, indices.dtype, got.dtype) == (np.int64, np.int32, np.int32)
+    assert indptr.tolist() == np.searchsorted(unique, np.arange(n + 1) * n).tolist()
+    assert indices.tolist() == (unique % n).tolist()
+    assert got.tolist() == counts.tolist()
+
+
+def test_run_starts_widen_past_max_count():
+    fresh = np.array([True, False, True, True, False])
+    assert corpus._run_starts(fresh).dtype == np.int32
+    with mock.patch.object(corpus, "MAX_COUNT", 4):
+        starts = corpus._run_starts(fresh)
+    assert starts.dtype == np.int64 and starts.tolist() == [0, 2, 3, 5]
+
+
+def test_streams_without_pairs_count_none():
+    vocab = Vocabulary(["a", "b"], [2, 1], 3)
+    # only document breaks: no ids, so no window offsets
+    only_breaks = count_bigrams(iter([DOC_BREAK] * 4), vocab, 3)
+    # only out-of-vocabulary tokens: offsets, but no keys
+    only_unknown = count_bigrams(iter(["x", "y", "x", DOC_BREAK, "z"]), vocab, 3)
+    for table in (only_breaks, only_unknown, count_bigrams(iter([]), vocab, 3)):
+        assert table.total_pairs == 0 and table.indices.size == 0 and table.counts.size == 0
+        assert table.indptr.tolist() == [0, 0, 0]
+
+
+def test_counting_stays_in_its_memory_budget():
+    # about 950k pairs, nearly all distinct.  Beyond the table it returns,
+    # counting holds the pair keys (4 bytes a pair, as int32 at this
+    # vocabulary size), one array of run starts and small per-token arrays:
+    # about 8 bytes a pair at its peak, where masks for every offset at
+    # once, int64 run starts and copies of the finished arrays took 22
+    rng = np.random.default_rng(29)
+    n, tokens = 20_000, 200_000
+    words = [f"w{k}" for k in range(n)]
+    vocab = Vocabulary(words, [1] * n, 10**6)
+    pool = np.array(words + [f"oov{k}" for k in range(500)], dtype=object)
+    # about 2.5% of the tokens are out of vocabulary
+    draws = np.where(rng.random(tokens) < 0.025, rng.integers(n, n + 500, tokens), rng.integers(0, n, tokens))
+    stream = pool[draws].tolist()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        table = count_bigrams(stream, vocab, 5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    kept = table.indptr.nbytes + table.indices.nbytes + table.counts.nbytes
+    assert 900_000 < table.total_pairs < 1_000_000
+    assert table.indices.size > 0.99 * table.total_pairs
+    assert (peak - kept) / table.total_pairs <= 12

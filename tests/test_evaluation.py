@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pmivec.embeddings import EmbeddingSet
 from pmivec.evaluation import (
+    _unit_rows,
     COSMUL_EPSILON,
     AnalogyTestset,
     ChoiceTestset,
@@ -295,6 +298,56 @@ class TestScaleInvariance:
             eval_similarity(scaled, sim).metric, abs=1e-12)
         assert eval_analogy_3cosmul(emb, ana).metric == eval_analogy_3cosmul(scaled, ana).metric
         assert eval_choice(emb, cho).metric == eval_choice(scaled, cho).metric
+
+
+class TestUnitRows:
+    @staticmethod
+    def masked_unit_rows(vectors):
+        """The normalization it replaced: a zero array, then the usable rows
+        gathered, divided by their norms and scattered back."""
+        norms = np.linalg.norm(vectors, axis=1)
+        usable = norms > 0.0
+        unit = np.zeros_like(vectors)
+        unit[usable] = vectors[usable] / norms[usable, None]
+        return unit
+
+    def test_same_bytes_as_the_masked_division(self):
+        rng = np.random.default_rng(31)
+        vectors = rng.normal(size=(40, 7)) * rng.uniform(1e-3, 1e3, size=(40, 1))
+        vectors[[0, 9]] = 0.0
+        vectors[17] = -0.0
+        vectors[5] = 1e-300  # not zero, but its squares underflow: norm 0
+        vectors[6] = 1e-150  # its squares do not: it keeps its direction
+        words = [f"w{k}" for k in range(40)]
+        unit, index = _unit_rows(EmbeddingSet(words, vectors))
+        assert unit.tobytes() == self.masked_unit_rows(vectors).tobytes()
+        assert sorted(index.values()) == [k for k in range(40) if k not in (0, 5, 9, 17)]
+
+    def test_row_without_a_norm_is_never_predicted(self):
+        # a row whose norm underflows to 0 has no direction: an analogy must
+        # not pick it, though its unnormalized scores would be the highest
+        emb = EmbeddingSet(["a", "b", "c", "d", "tiny"], np.array(
+            [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [-0.6, -0.8], [1e-300, 1e-300]]))
+        report = eval_analogy_3cosmul(emb, AnalogyTestset((("a", "b", "c", "d"),)))
+        assert report.items_covered == 1 and report.metric == 1.0
+
+    def test_memory_budget(self):
+        # one new n x d array beyond the embedding, where zeros, a gathered
+        # copy and their quotient made three; the norms' squares are another
+        # n x d array, freed before the division
+        rng = np.random.default_rng(32)
+        n, d = 11_227, 50
+        vectors = rng.normal(size=(n, d))
+        vectors[::7] = 0.0
+        emb = EmbeddingSet([f"w{k}" for k in range(n)], vectors)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _unit_rows(emb)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * emb.vectors.nbytes
 
 
 class TestTestsetConstructors:

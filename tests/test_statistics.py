@@ -366,8 +366,9 @@ class TestInPlaceBlock:
         assert peak / (8 * n * n) <= 2.6
 
     def test_reverse_index_memory(self):
-        # the reverse index keeps 12 bytes per entry of the column words'
-        # rows; its one argsort and the entries' row positions come on top
+        # the reverse index keeps 8 bytes per entry of the column words'
+        # rows, plus 8 per word; its one argsort and the entries' row
+        # positions come on top while it is built
         rng = np.random.default_rng(23)
         n, c, per_row = 1000, 200, 400
         vocab = Vocabulary([f"w{k:04d}" for k in range(n)], list(range(n + 1, 1, -1)), n * (n + 3) // 2)
@@ -378,8 +379,10 @@ class TestInPlaceBlock:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            PmiRows(range(c), table, PmiConfig())
+            rows = PmiRows(range(c), table, PmiConfig())
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert peak / entries <= 32
+        kept = rows.rev_indptr.nbytes + rows.rev_pos.nbytes + rows.rev_counts.nbytes
+        assert kept <= 8 * entries + 8 * (n + 1)
