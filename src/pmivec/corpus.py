@@ -190,28 +190,26 @@ def _csr_from_keys(keys: np.ndarray, n: int, weights: np.ndarray | None = None):
     """CSR arrays from pair keys ``i * n + j``.  Equal keys add up: each
     occurrence counts 1, or its entry of ``weights``.  Without weights
     ``keys`` is sorted in place, and the one temporary per distinct pair
-    is the run starts (see :func:`_run_starts`)."""
+    is the run starts (see :func:`_run_starts`); with them, ``keys`` and
+    ``weights`` are copied in key order."""
     import numpy as np
     if weights is None:
         keys.sort()
     else:
         order = np.argsort(keys, kind="stable")
         keys, weights = keys[order], weights[order]
+        del order
     fresh = np.empty(keys.size, dtype=bool)
     fresh[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    starts = _run_starts(fresh)
+    del fresh
     if weights is None:
-        starts = _run_starts(fresh)
-        del fresh
-        unique = keys[starts[:-1]]
         counts = np.subtract(starts[1:], starts[:-1])
-        del starts
     else:
-        starts = np.flatnonzero(fresh)
-        del fresh
-        counts = np.add.reduceat(weights, starts, dtype=np.int64) if keys.size else weights
-        unique = keys[starts]
-        del starts
+        counts = np.add.reduceat(weights, starts[:-1], dtype=np.int64) if keys.size else weights
+    unique = keys[starts[:-1]]
+    del starts
     if counts.size and counts.max() > MAX_COUNT:
         raise ValueError(f"a pair count exceeds {MAX_COUNT}, the largest a table holds")
     indptr = np.searchsorted(unique, np.arange(n + 1, dtype=unique.dtype) * n)

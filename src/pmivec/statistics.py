@@ -69,7 +69,7 @@ def word_range(words, n: int, label: str) -> range:
 def _entries(indptr: np.ndarray, rows: range) -> tuple[np.ndarray, slice]:
     """(position in ``rows``, slice of entries) of the CSR rows ``rows``."""
     span = indptr[rows.start:rows.stop + 1]
-    return np.repeat(np.arange(len(rows)), np.diff(span)), slice(span[0], span[-1])
+    return np.repeat(np.arange(len(rows), dtype=np.int32), np.diff(span)), slice(span[0], span[-1])
 
 
 class PmiRows:
@@ -103,7 +103,7 @@ class PmiRows:
         order = np.argsort(ctx)
         self.rev_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(ctx, minlength=n), out=self.rev_indptr[1:])
-        self.rev_pos = np.repeat(np.arange(c, dtype=np.int32), np.diff(table.indptr[:c + 1]))[order]
+        self.rev_pos = _entries(table.indptr, range(c))[0][order]
         self.rev_counts = table.counts[:len(ctx)][order]
 
     def _gather(self, rows: range) -> np.ndarray:

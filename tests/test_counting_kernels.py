@@ -230,6 +230,12 @@ def test_run_lengths_match_np_unique(drawn, run_slice):
     assert indptr.tolist() == np.searchsorted(unique, np.arange(n + 1) * n).tolist()
     assert indices.tolist() == (unique % n).tolist()
     assert got.tolist() == counts.tolist()
+    weights = np.arange(1, keys.size + 1, dtype=np.int64)
+    with mock.patch.object(corpus, "_RUN_SLICE", run_slice):
+        weighted = corpus._csr_from_keys(keys, n, weights)
+    assert weighted[0].tolist() == indptr.tolist() and weighted[1].tolist() == indices.tolist()
+    assert weighted[2].dtype == np.int32
+    assert weighted[2].tolist() == [int(weights[keys == k].sum()) for k in unique]
 
 
 def test_run_starts_widen_past_max_count():
