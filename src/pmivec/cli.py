@@ -13,6 +13,10 @@ core block's weight normalizer and the SHA-256 of its count files and of its
 `.vec`, as growth does.  `factorize-noncore` extends only a solve whose
 manifest it reads: it takes the weighting and the normalizer from there, and
 refuses count files or a `--core-vec` whose SHA-256 is not the one recorded.
+Its output starts with the stored records of `--core-vec`, copied byte for
+byte and hashed as they are read: unless they still hash to the recorded
+`vec_sha256`, no output is left.  The new records follow as each group of
+words is solved.
 Each stage imports the layers it runs inside its `cmd_*` function, so a stage
 process loads only those: `count-unigrams` runs without numpy, and `main`
 looks numpy's `LinAlgError` up only when a stage has raised.
@@ -153,9 +157,7 @@ def _core_manifest(core_vec: str) -> tuple[PmiConfig, float, dict[str, str], str
 
 
 def cmd_factorize_noncore(args) -> tuple[list[str], dict, str]:
-    import numpy as np
-
-    from .embeddings import EmbeddingSet, load_vec, save_vec
+    from .embeddings import extend_vec, load_vec
     from .incremental import solve_words
     from .statistics import PmiRows
     cfg, normalizer, recorded, vec_digest = _core_manifest(args.core_vec)
@@ -172,12 +174,16 @@ def cmd_factorize_noncore(args) -> tuple[list[str], dict, str]:
             f"the core vectors were solved on"
         )
     base = load_vec(args.core_vec)  # pmivec wrote it over these counts: their leading words
-    core_size = args.core_size if args.core_size is not None else len(base)
-    if core_size > len(base):
-        raise ValueError(f"--core-size {core_size} exceeds the {len(base)} stored vectors")
+    stored, dim = len(base), base.dim
+    core_size = args.core_size if args.core_size is not None else stored
+    if core_size > stored:
+        raise ValueError(f"--core-size {core_size} exceeds the {stored} stored vectors")
+    core_vectors = base.vectors[:core_size].copy()  # the stored records are copied as bytes
+    del base
 
     rows_of = PmiRows(range(core_size), table, cfg, normalizer)  # the core solve's weight scale
-    new = range(len(base), min(len(base) + args.count, len(vocab)))
+    del table  # the rows hold what they are built from
+    new = range(stored, min(stored + args.count, len(vocab)))
     if len(new) < args.count:
         print(
             f"warning: only {len(new)} vocabulary words are left to solve "
@@ -185,23 +191,24 @@ def cmd_factorize_noncore(args) -> tuple[list[str], dict, str]:
             file=sys.stderr,
         )
     solve_start = time.perf_counter()
-    vectors = np.empty((new.stop, base.dim))  # the stored rows, then one per solved word
-    vectors[:len(base)] = base.vectors
     degeneracies = 0
-    for i, vector, degenerate in solve_words(vectors[:core_size], rows_of, new, args.mu):
-        vectors[i] = vector
-        degeneracies += degenerate
+
+    def solved():  # each new word and its vector, written as soon as its group is solved
+        nonlocal degeneracies
+        for i, vector, degenerate in solve_words(core_vectors, rows_of, new, args.mu):
+            degeneracies += degenerate
+            yield vocab.words[i], vector
+
+    written = extend_vec(args.out, args.core_vec, vec_digest, new.stop, dim, solved())
     seconds = time.perf_counter() - solve_start
-    merged = EmbeddingSet(vocab.words[:new.stop], vectors)
-    save_vec(merged, args.out)
     summary = (f"solved {len(new)} words (mu={args.mu:g}, "
                f"{degeneracies} degenerate, {seconds:.2f}s); "
-               f"{len(merged)} total -> {args.out}")
+               f"{new.stop} total -> {args.out}")
     report = {"words": len(new), "mu": args.mu, "degeneracies": degeneracies,
               "seconds": round(seconds, 6)}
     return [args.bigrams, args.unigrams, args.core_vec], {
         "report": report, "weight_normalizer": normalizer, "counts_sha256": digests,
-        "vec_sha256": file_sha256(args.out)}, summary
+        "vec_sha256": written}, summary
 
 
 def cmd_evaluate(args) -> tuple[list[str], dict, str]:

@@ -137,9 +137,17 @@ def count_unigrams(tokens: Iterable[str | None], min_count: int = 1) -> Vocabula
 MAX_COUNT = 2**31 - 1
 
 
+#: Entries that one step of a scan over every pair takes.  ``_check_csr``
+#: compares that many neighbours at a time, and ``_run_starts`` gives that
+#: many mask entries to each ``np.flatnonzero``, so that its int64 result
+#: stays small beside the run starts it fills.
+_RUN_SLICE = 1 << 18
+
+
 def _check_csr(indptr, indices, counts, n: int) -> None:
     """Raise ValueError unless the arrays form a valid ordered-pair CSR over
-    ``n`` words.  Every check is vectorized."""
+    ``n`` words.  Every check is vectorized; the order within rows is checked
+    ``_RUN_SLICE`` entries at a time, so no temporary spans the table."""
     import numpy as np
     if indptr.ndim != 1 or indices.ndim != 1 or counts.ndim != 1:
         raise ValueError("CSR arrays must be 1-d")
@@ -156,17 +164,13 @@ def _check_csr(indptr, indices, counts, n: int) -> None:
         raise ValueError("context index out of range")
     if nnz and (counts.min() < 1 or counts.max() > MAX_COUNT):
         raise ValueError(f"count outside [1, {MAX_COUNT}]")
-    if nnz > 1:
-        ascending = np.diff(indices) > 0
-        starts = indptr[1:-1]
-        ascending[starts[(starts > 0) & (starts < nnz)] - 1] = True  # row boundaries
+    for lo in range(0, nnz - 1, _RUN_SLICE):  # pairs of neighbours, a slice at a time
+        hi = min(lo + _RUN_SLICE, nnz - 1)
+        ascending = indices[lo + 1 : hi + 1] > indices[lo:hi]
+        starts = indptr[np.searchsorted(indptr, lo + 1) : np.searchsorted(indptr, hi, "right")]
+        ascending[starts - (lo + 1)] = True  # a row starts at the right neighbour
         if not ascending.all():
             raise ValueError("context indices are not sorted and unique within a row")
-
-
-#: Entries of the run-start mask that one ``np.flatnonzero`` call scans, so
-#: its int64 result stays small beside the run starts it fills.
-_RUN_SLICE = 1 << 18
 
 
 def _run_starts(fresh: np.ndarray) -> np.ndarray:

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import Iterable
 
 import numpy as np
 
-from .ioutil import ParseError, atomic_write, open_utf8
+from .ioutil import ParseError, atomic_write, open_utf8, sha256
 
 
 @dataclass(eq=False)
@@ -48,18 +50,64 @@ class EmbeddingSet:
         return self.vectors[self.index[word]]
 
 
-def save_vec(emb: EmbeddingSet, path) -> None:
-    """Write ``n d`` then one ``word f1 .. fd`` record per word.
+#: Records formatted per write: one group of the growth solve.
+_WRITE_ROWS = 64
+
+
+def _records(words, vectors: np.ndarray) -> bytes:
+    """One ``word f1 .. fd`` line per word and row of ``vectors``, as UTF-8.
 
     Floats carry 6 significant digits, which keeps relative quantization
     error below 5e-7, comfortably inside the error budget of downstream
-    cosine computations.
+    cosine computations.  A record read back and formatted again gives the
+    same bytes.
     """
-    template = "%s " + " ".join(["%.6g"] * emb.dim) + "\n"
-    with atomic_write(path) as fh:
-        fh.write(f"{len(emb)} {emb.dim}\n")
-        for word, vec in zip(emb.words, emb.vectors):
-            fh.write(template % (word, *vec.tolist()))
+    template = "%s " + " ".join(["%.6g"] * vectors.shape[1]) + "\n"
+    return "".join([template % (word, *vec) for word, vec in zip(words, vectors.tolist())]).encode("utf-8")
+
+
+def save_vec(emb: EmbeddingSet, path) -> None:
+    """Write ``n d`` then one ``word f1 .. fd`` record per word."""
+    with atomic_write(path, binary=True) as fh:
+        fh.write(b"%d %d\n" % (len(emb), emb.dim))
+        for k in range(0, len(emb), _WRITE_ROWS):
+            fh.write(_records(emb.words[k:k + _WRITE_ROWS], emb.vectors[k:k + _WRITE_ROWS]))
+
+
+def extend_vec(path, stored, stored_sha256: str, count: int, dim: int,
+               rows: Iterable[tuple[str, np.ndarray]]) -> str:
+    """Write to ``path`` a .vec of ``count`` words of dimension ``dim``: the
+    records of the .vec ``stored``, copied byte for byte, then one record
+    per (word, vector) of ``rows``, ``_WRITE_ROWS`` at a time as they come.
+    Returns the hex SHA-256 of the bytes written.
+
+    Each batch of rows passes the checks of an :class:`EmbeddingSet`, and
+    the copy is hashed as it is read: unless ``stored`` hashes to
+    ``stored_sha256``, a ``ValueError`` is raised.  Either way nothing is
+    written.
+    """
+    written = sha256()
+    with atomic_write(path, binary=True) as out:
+
+        def write(data: bytes) -> None:
+            written.update(data)
+            out.write(data)
+
+        write(b"%d %d\n" % (count, dim))
+        read = sha256()
+        with open(stored, "rb") as fh:
+            read.update(fh.readline())  # its header: this file's is written above
+            while block := fh.read(1 << 20):
+                read.update(block)
+                write(block)
+        if read.hexdigest() != stored_sha256:
+            raise ValueError(f"{stored} changed while growth ran: its SHA-256 is no longer "
+                             f"{stored_sha256}")
+        rows = iter(rows)
+        while batch := list(islice(rows, _WRITE_ROWS)):
+            checked = EmbeddingSet([word for word, _ in batch], [vector for _, vector in batch])
+            write(_records(checked.words, checked.vectors))
+    return written.hexdigest()
 
 
 def load_vec(path) -> EmbeddingSet:

@@ -20,7 +20,10 @@ Per call the packed table costs O(c d^2) time and 8 c d (d + 1) / 2 bytes
 (1 MB at c = 100, d = 50; 7.1 MB at c = 700).  Per group the two products
 cost O(64 c d^2) time however many words it holds, and every stack of 16 rows
 that holds a word one O(16 d^3) solve.  A group's rows and buffers take
-O(64 (c + d^2)) memory, which does not grow with the vocabulary.
+O(64 (c + d^2)) memory, which does not grow with the vocabulary.  The rows
+come from a :class:`~pmivec.statistics.PmiRows`, which holds the core
+columns of the counts rather than the table, and vectors are yielded a group
+at a time, so a caller that writes them as they come holds no row per word.
 """
 
 from __future__ import annotations
@@ -143,7 +146,7 @@ def solve_words(
     normalizer is the core solve's.
     """
     check_setting("mu", mu, 0.0)
-    words = word_range(word_indices, len(rows_of.table.vocab), "words")
+    words = word_range(word_indices, rows_of.n, "words")
     solve = _GroupSolver(np.asarray(core_vectors, dtype=float), mu)
     for k in range(0, len(words), _GROUP):
         group = words[k:k + _GROUP]

@@ -6,7 +6,10 @@ frequency order of the vocabulary: the columns are its first c words, and
 the rows any run of consecutive words.  :class:`PmiRows` builds such rows,
 :func:`pmi_block` the dense block of two ranges with the weights divided by
 their maximum, the normalizer.  Growth rows take the normalizer of the core
-block, as the core solve recorded it.
+block, as the core solve recorded it.  A :class:`PmiRows` copies what its
+rows are built from, the counts whose context is one of the c column words
+and the first c rows' counts indexed by context, and keeps no reference to
+the table, so growth holds no more of the counts than that while it solves.
 
 Pair counts are symmetrized before use, so every block is exactly symmetric
 under transposition of its index ranges.  Entries with zero smoothed
@@ -72,25 +75,47 @@ def _entries(indptr: np.ndarray, rows: range) -> tuple[np.ndarray, slice]:
     return np.repeat(np.arange(len(rows), dtype=np.int32), np.diff(span)), slice(span[0], span[-1])
 
 
+def _prefix_ends(indptr: np.ndarray, indices: np.ndarray, c: int) -> np.ndarray:
+    """Per CSR row, the end of its entries with context below ``c``: contexts
+    ascend within a row, so those form a prefix.  Every row's end moves by
+    halving powers of two at once, in O(rows) memory."""
+    ends, stop = indptr[:-1].copy(), indptr[1:]
+    last = max(len(indices) - 1, 0)
+    step = 1 << int(np.diff(indptr).max(initial=0)).bit_length()  # the steps sum past any row
+    while step > 1:
+        step >>= 1
+        probe = ends + (step - 1)  # the last entry a step would cover
+        below = probe < stop
+        np.minimum(probe, last, out=probe)
+        below &= indices[probe] < c
+        np.add(ends, step, out=ends, where=below)
+    return ends
+
+
 class PmiRows:
     """PMI and fit-weight rows of consecutive words against the first c words.
 
     Each entry comes from the symmetrized count c(i, j) + c(j, i) of the
-    table: the forward counts c(i, j) are row ``i``'s entries with context
-    below c, and the reverse counts c(j, i) come from the first c rows,
-    indexed by context once here (8 bytes per entry of those rows, plus 8
-    per vocabulary word).  A call then costs the nonzeros of the requested
-    rows plus one dense row per word.  ``normalizer``, in (0, 1], divides
-    the weights: growth passes the core block's, which ``pmi_block`` returns
-    and ``factorize-core`` records.  ``cols`` is ``range(c)``, or an integer
+    table.  Construction copies the two parts of it that rows are built
+    from, and keeps no reference to the table:
+
+    - the forward counts c(i, j) with j below c, a prefix of row ``i``
+      since contexts ascend: 8 bytes per such entry plus 8 per word;
+    - the reverse counts c(j, i), the first c rows indexed by context:
+      8 bytes per entry of those rows plus 8 per word.
+
+    A call then costs the kept entries of the requested rows plus one dense
+    row per word.  ``normalizer``, in (0, 1], divides the weights: growth
+    passes the core block's, which ``pmi_block`` returns and
+    ``factorize-core`` records.  ``cols`` is ``range(c)``, or an integer
     array equal to it; requested rows are a step-1 range.
     """
 
     def __init__(self, cols, table: CooccurrenceTable, cfg: PmiConfig, normalizer: float = 1.0):
         if table.total_pairs == 0:
             raise ValueError("table holds no pairs")
-        n = len(table.vocab)
-        self.table, self.cfg = table, cfg
+        self.n = n = len(table.vocab)
+        self.total_pairs, self.cfg = table.total_pairs, cfg
         self.normalizer = check_setting("normalizer", normalizer, 0.0, 1.0, above=True)
         first = np.asarray(cols)
         if (first.ndim != 1 or first.dtype.kind not in "iu" or first.size > n
@@ -105,14 +130,18 @@ class PmiRows:
         np.cumsum(np.bincount(ctx, minlength=n), out=self.rev_indptr[1:])
         self.rev_pos = _entries(table.indptr, range(c))[0][order]
         self.rev_counts = table.counts[:len(ctx)][order]
+        del order
+        self.fwd_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(_prefix_ends(table.indptr, table.indices, c) - table.indptr[:-1],
+                  out=self.fwd_indptr[1:])
+        core = table.indices < c  # one byte per entry: the only temporary that spans the table
+        self.fwd_ctx, self.fwd_counts = table.indices[core], table.counts[core]
 
     def _gather(self, rows: range) -> np.ndarray:
         """Symmetrized counts, one row per word of ``rows``, as floats."""
         out = np.zeros((len(rows), self.c))
-        owner, at = _entries(self.table.indptr, rows)
-        ctx = self.table.indices[at]
-        hit = ctx < self.c
-        out[owner[hit], ctx[hit]] = self.table.counts[at][hit]
+        owner, at = _entries(self.fwd_indptr, rows)
+        out[owner, self.fwd_ctx[at]] = self.fwd_counts[at]
         owner, at = _entries(self.rev_indptr, rows)
         out[owner, self.rev_pos[at]] += self.rev_counts[at]
         return out
@@ -120,11 +149,11 @@ class PmiRows:
     def __call__(self, rows: range) -> tuple[np.ndarray, np.ndarray]:
         """PMI and weight rows of the words ``rows``; unseen pairs keep
         weight 0 under lam = 0."""
-        rows = word_range(rows, len(self.table.vocab), "rows")
+        rows = word_range(rows, self.n, "rows")
         # two dense buffers: the counts become p, then the weights; the
         # unigram products become p / indep, then the PMI
         pmi = np.outer(self.probs[rows.start:rows.stop], self.probs[:self.c])
-        p = _smoothed(self._gather(rows), pmi, self.table.total_pairs, self.cfg)
+        p = _smoothed(self._gather(rows), pmi, self.total_pairs, self.cfg)
         mask = p > 0.0
         np.divide(p, pmi, out=pmi)  # p is 0 off the mask and the products never are
         np.log(pmi, out=pmi, where=mask)

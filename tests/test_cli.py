@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -512,6 +513,103 @@ class TestFactorizeNoncore:
         groups = [(range(10, 18), 1.0), (range(18, 26), 4.0)]
         direct_growth(small_pipeline, core, PmiConfig(), groups, direct)
         assert stage2.read_bytes() == direct.read_bytes()
+
+    @pytest.mark.parametrize("core_size", [6, None], ids=["below-stored", "default"])
+    def test_growth_writes_the_bytes_of_the_merged_set(self, small_pipeline, tmp_path, core_size):
+        # each call copies the stored records and appends the new ones: the
+        # bytes of save_vec over the stored set and the new vectors
+        data = ["--bigrams", str(small_pipeline["bigrams"]),
+                "--unigrams", str(small_pipeline["unigrams"])]
+        vocab = load_unigrams(small_pipeline["unigrams"])
+        table = load_bigrams(small_pipeline["bigrams"], vocab)
+        previous = tmp_path / "core.vec"
+        assert main(["factorize-core", *data, "--core-size", "8", "--dim", "4",
+                     "--out", str(previous)]) == 0
+        normalizer = read_manifest(previous)["weight_normalizer"]
+        sizes = [] if core_size is None else ["--core-size", str(core_size)]
+        for k, (count, mu) in enumerate([(5, 1.0), (10, 2.0), (30, 0.5)]):
+            out = tmp_path / f"grow{k}.vec"
+            assert main(["factorize-noncore", *data, "--core-vec", str(previous), *sizes,
+                         "--count", str(count), "--mu", str(mu), "--out", str(out)]) == 0
+            base = load_vec(previous)
+            core = len(base) if core_size is None else core_size
+            rows_of = PmiRows(range(core), table, PmiConfig(), normalizer)
+            new = range(len(base), min(len(base) + count, len(vocab)))
+            solved = [vec for _, vec, _ in solve_words(base.vectors[:core], rows_of, new, mu)]
+            oracle = tmp_path / f"oracle{k}.vec"
+            save_vec(EmbeddingSet(vocab.words[:new.stop], np.vstack([base.vectors, *solved])), oracle)
+            assert out.read_bytes() == oracle.read_bytes()
+            assert read_manifest(out)["vec_sha256"] == file_sha256(out)
+            previous = out
+        assert len(load_vec(previous)) == len(vocab)  # the last call took the rest of the words
+
+    def test_core_vec_swapped_after_its_check_is_refused(self, small_pipeline, tmp_path, capsys,
+                                                         monkeypatch):
+        data = ["--bigrams", str(small_pipeline["bigrams"]),
+                "--unigrams", str(small_pipeline["unigrams"])]
+        core, out = tmp_path / "core.vec", tmp_path / "grown.vec"
+        assert main(["factorize-core", *data, "--core-size", "10", "--dim", "4",
+                     "--out", str(core)]) == 0
+        real = pmivec.embeddings.load_vec
+
+        def load_then_swap(path):
+            loaded = real(path)  # the digest was checked before this read
+            save_vec(EmbeddingSet(loaded.words, loaded.vectors * 2.0), path)
+            return loaded
+
+        monkeypatch.setattr(pmivec.embeddings, "load_vec", load_then_swap)
+        capsys.readouterr()
+        assert main(["factorize-noncore", *data, "--core-vec", str(core), "--count", "4",
+                     "--mu", "1.0", "--out", str(out)]) == 2
+        assert "core.vec changed while growth ran" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["core.vec", "core.vec.manifest.json"]
+
+    def test_non_finite_solved_group_is_refused(self, small_pipeline, tmp_path, capsys,
+                                                monkeypatch):
+        data = ["--bigrams", str(small_pipeline["bigrams"]),
+                "--unigrams", str(small_pipeline["unigrams"])]
+        core, out = tmp_path / "core.vec", tmp_path / "grown.vec"
+        assert main(["factorize-core", *data, "--core-size", "10", "--dim", "4",
+                     "--out", str(core)]) == 0
+        real = pmivec.incremental.solve_words
+
+        def one_nan(*args):
+            for i, vector, degenerate in real(*args):
+                yield i, np.full_like(vector, np.nan) if i == 12 else vector, degenerate
+
+        monkeypatch.setattr(pmivec.incremental, "solve_words", one_nan)
+        capsys.readouterr()
+        assert main(["factorize-noncore", *data, "--core-vec", str(core), "--count", "4",
+                     "--mu", "1.0", "--out", str(out)]) == 2
+        assert "vectors contain non-finite entries" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["core.vec", "core.vec.manifest.json"]
+
+    def test_growth_holds_no_row_per_new_word(self, tmp_path):
+        # 20,000 words beyond a 60-word core, each seen once beside core
+        # words: a float row per new word alone would take 8 d bytes each
+        rng = np.random.default_rng(43)
+        names = ["".join(chr(ord("a") + (k // 26**p) % 26) for p in range(4)) for k in range(20_060)]
+        lines = [" ".join(rng.choice(names[:60], 12).tolist()) for _ in range(1_500)]
+        lines += [f"{name} {names[k % 60]}" for k, name in enumerate(names[60:])]
+        corpus, uni, bi, core, out = (str(tmp_path / name) for name in
+                                      ("corpus.txt", "uni.txt", "bi.txt", "core.vec", "grown.vec"))
+        Path(corpus).write_text("\n".join(lines) + "\n")
+        assert main(["count-unigrams", "--input", corpus, "--min-count", "1", "--out", uni]) == 0
+        assert main(["count-bigrams", "--input", corpus, "--unigrams", uni, "--window", "2",
+                     "--out", bi]) == 0
+        assert main(["factorize-core", "--bigrams", bi, "--unigrams", uni, "--core-size", "60",
+                     "--dim", "50", "--iters", "2", "--out", core]) == 0
+        dim, words = 50, len(load_unigrams(uni)) - 60
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(["factorize-noncore", "--bigrams", bi, "--unigrams", uni, "--core-vec", core,
+                         "--count", str(words), "--mu", "1.0", "--out", out]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert words >= 20_000 and len(load_vec(out)) == 60 + words
+        assert peak < 8 * dim * words
 
     def test_threads_flag_is_usage_error(self, small_pipeline, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -238,6 +238,59 @@ def test_run_lengths_match_np_unique(drawn, run_slice):
     assert weighted[2].tolist() == [int(weights[keys == k].sum()) for k in unique]
 
 
+@st.composite
+def csr_rows(draw):
+    """(n, rows of contexts) with rows often empty, sometimes out of order or repeating."""
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.one_of(
+        st.just([]),
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=6, unique=True).map(sorted),
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=6),
+    ), min_size=n, max_size=n))
+    return n, rows
+
+
+@SETTINGS
+@given(csr_rows(), st.integers(1, 5))
+def test_row_order_checked_in_slices(drawn, run_slice):
+    # the order check takes a few neighbours at a time; a slice edge at a
+    # row start or inside a row changes nothing
+    n, rows = drawn
+    vocab = Vocabulary([f"w{k}" for k in range(n)], [1] * n, n)
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = np.array([j for row in rows for j in row], dtype=np.int32)
+    ordered = all(a < b for row in rows for a, b in zip(row, row[1:]))
+    with mock.patch.object(corpus, "_RUN_SLICE", run_slice):
+        try:
+            CooccurrenceTable(1, vocab, indptr, indices, np.ones(indices.size, dtype=np.int32))
+        except ValueError as exc:
+            assert not ordered and "not sorted and unique within a row" in str(exc)
+        else:
+            assert ordered
+
+
+def test_table_checks_stay_within_a_slice_of_memory():
+    # about 2M entries: the checks hold a slice of neighbour comparisons,
+    # not a difference and a mask over every entry (about 5 bytes an entry)
+    rng = np.random.default_rng(31)
+    n = 2000
+    vocab = Vocabulary([f"w{k}" for k in range(n)], [1] * n, n)
+    lengths = rng.integers(0, 2000, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    indices = np.concatenate([np.sort(rng.choice(n, k, replace=False)) for k in lengths]).astype(np.int32)
+    counts = rng.integers(1, 100, indices.size, dtype=np.int32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        table = CooccurrenceTable(2, vocab, indptr, indices, counts)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert table.indices is indices and 1_800_000 < indices.size < 2_200_000
+    assert peak / indices.size <= 0.5
+
+
 def test_run_starts_widen_past_max_count():
     fresh = np.array([True, False, True, True, False])
     assert corpus._run_starts(fresh).dtype == np.int32

@@ -1,8 +1,12 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmivec.corpus import CooccurrenceTable, Vocabulary, count_bigrams, count_unigrams
 from pmivec.statistics import PmiConfig, PmiRows, pmi_block, unigram_probs
@@ -280,6 +284,44 @@ class TestPmiRow:
         np.testing.assert_array_equal(g, pmi[1:4])
         np.testing.assert_array_equal(w, weights[1:4])
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_rows_match_dense_symmetrized_counts(self, data):
+        # random sparse tables, with empty rows and rows without a column
+        # word among their contexts; c runs from 1 to the whole vocabulary
+        n = data.draw(st.integers(1, 8), label="n")
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        pairs = data.draw(st.dictionaries(pair, st.integers(1, 9), min_size=1, max_size=3 * n),
+                          label="pairs")
+        rows = {}
+        for (i, j), count in pairs.items():
+            rows.setdefault(i, {})[j] = count
+        vocab = Vocabulary([f"w{k}" for k in range(n)], [1] * n, n)
+        table = CooccurrenceTable.from_rows(2, vocab, rows)
+        c = data.draw(st.integers(1, n), label="c")
+        start = data.draw(st.integers(0, n), label="start")
+        span = range(start, data.draw(st.integers(start, n), label="stop"))
+        cfg = PmiConfig(lam=data.draw(st.sampled_from([0.0, 0.1]), label="lam"))
+        dense = np.zeros((n, n))
+        for i, j, count in table.pairs():
+            dense[i, j] = count
+        rows_of = PmiRows(range(c), table, cfg)
+        np.testing.assert_array_equal(rows_of._gather(span), (dense + dense.T)[span.start:span.stop, :c])
+        g, w = pmi_rows_oracle(list(span), list(range(c)), table, cfg)
+        got_g, got_w = rows_of(span)
+        assert got_g.tobytes() == g.tobytes() and got_w.tobytes() == w.tobytes()
+
+    def test_rows_outlive_the_table(self):
+        _, table = zipf_table(60, 4000, 3, seed=24)
+        rows_of = PmiRows(range(20), table, PmiConfig(lam=0.1))
+        expected = rows_of(range(10, 60))
+        gone = weakref.ref(table)
+        del table
+        gc.collect()
+        assert gone() is None  # the rows hold copies, not the table or views of it
+        got = rows_of(range(10, 60))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+
     WORDS = "a b c a b d a c b a d c b a".split()  # a 4-word vocabulary
 
     COLUMNS = r"columns must be the first c of the 4 vocabulary words"
@@ -366,9 +408,10 @@ class TestInPlaceBlock:
         assert peak / (8 * n * n) <= 2.6
 
     def test_reverse_index_memory(self):
-        # the reverse index keeps 8 bytes per entry of the column words'
-        # rows, plus 8 per word; its one argsort and the entries' row
-        # positions come on top while it is built
+        # the rows keep 8 bytes per entry with a column word as context, 8
+        # per entry of the column words' rows, and two row pointers per
+        # word; the slice's one-byte mask, the reverse index's argsort and
+        # its entries' row positions come on top while they are built
         rng = np.random.default_rng(23)
         n, c, per_row = 1000, 200, 400
         vocab = Vocabulary([f"w{k:04d}" for k in range(n)], list(range(n + 1, 1, -1)), n * (n + 3) // 2)
@@ -384,5 +427,8 @@ class TestInPlaceBlock:
         finally:
             tracemalloc.stop()
         assert peak / entries <= 32
-        kept = rows.rev_indptr.nbytes + rows.rev_pos.nbytes + rows.rev_counts.nbytes
-        assert kept <= 8 * entries + 8 * (n + 1)
+        kept = sum(a.nbytes for a in (rows.fwd_indptr, rows.fwd_ctx, rows.fwd_counts,
+                                      rows.rev_indptr, rows.rev_pos, rows.rev_counts))
+        bound = 8 * np.count_nonzero(table.indices < c) + 8 * entries + 16 * (n + 1)
+        assert kept <= bound
+        assert peak - bound <= 2 * table.indices.size
