@@ -33,7 +33,7 @@ from pathlib import Path
 
 from . import __version__
 from .ioutil import atomic_write, check_setting, file_sha256, open_utf8
-from .settings import CoreSolveConfig, PmiConfig
+from .settings import MAX_WINDOW, CoreSolveConfig, PmiConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -118,14 +118,14 @@ def cmd_factorize_core(args) -> tuple[list[str], dict, str]:
     del table  # the solve needs only the blocks: release the counts before its memory peak
     factor, diag = em_factorize(pmi, weights, CoreSolveConfig(args.dim, args.iters, args.tol))
     emb = EmbeddingSet(vocab.words[: args.core_size], factor)
-    save_vec(emb, args.out)
+    written = save_vec(emb, args.out)
     summary = (f"core {len(emb)} x {emb.dim}: residual {diag.residuals[0]:.6g} -> "
                f"{diag.residuals[-1]:.6g} in {diag.iterations} sweeps -> {args.out}")
     return [args.bigrams, args.unigrams], {
         "diagnostics": dataclasses.asdict(diag),
         "weight_normalizer": normalizer,
         "counts_sha256": digests,
-        "vec_sha256": file_sha256(args.out),
+        "vec_sha256": written,
     }, summary
 
 
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count-bigrams", help="count in-window word pairs")
     p.add_argument("--input", required=True, help="corpus text file")
     p.add_argument("--unigrams", required=True, help="unigram file from count-unigrams")
-    p.add_argument("--window", type=_setting(int, 1), default=3,
+    p.add_argument("--window", type=_setting(int, 1, MAX_WINDOW), default=3,
                    help="pair window in tokens (default 3)")
     p.add_argument("--out", required=True, help="bigram file to write")
     p.set_defaults(func=cmd_count_bigrams)

@@ -27,6 +27,7 @@ from itertools import chain, islice, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .ioutil import ParseError, atomic_write, check_setting, file_sha256, open_utf8, sha256
+from .settings import MAX_WINDOW
 
 if TYPE_CHECKING:  # annotations only; the pair-table code imports numpy itself
     import numpy as np
@@ -49,10 +50,11 @@ def tokenize(source: str | Iterable[str]) -> Iterator[str | None]:
     never raises: spans that fail the token rules are dropped.  Empty lines
     are yielded as :data:`DOC_BREAK`.  A string is split into lines exactly
     as ``open()`` splits a file: at ``\n``, ``\r`` and ``\r\n`` only.
-    Lines from an iterable may lack their line ending.
+    Lines from an iterable may lack their line ending.  Whatever the source,
+    a line that holds nothing but ``\r`` and ``\n`` is empty.
     """
     if isinstance(source, str):
-        source = (m.group().rstrip("\r\n") for m in _LINE.finditer(source))
+        source = (m.group() for m in _LINE.finditer(source))
     return chain.from_iterable(_token_runs(source))
 
 
@@ -63,7 +65,7 @@ def _token_runs(lines: Iterable[str]) -> Iterator[list[str] | tuple[None]]:
     while chunk := list(islice(lines, _CHUNK_LINES)):
         run: list[str] = []
         for line in chunk:
-            if line.rstrip("\n"):
+            if line.rstrip("\r\n"):
                 run.append(line)
                 continue
             if run:
@@ -190,35 +192,33 @@ def _run_starts(fresh: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _csr_from_keys(keys: np.ndarray, n: int, weights: np.ndarray | None = None):
-    """CSR arrays from pair keys ``i * n + j``.  Equal keys add up: each
-    occurrence counts 1, or its entry of ``weights``.  Without weights
-    ``keys`` is sorted in place, and the one temporary per distinct pair
-    is the run starts (see :func:`_run_starts`); with them, ``keys`` and
-    ``weights`` are copied in key order."""
+def _csr_from_keys(keys: np.ndarray, n: int, counts: np.ndarray | None = None):
+    """CSR arrays from pair keys ``i * n + j``.  Without ``counts`` each
+    key is one occurrence: ``keys`` is sorted in place, equal keys form a
+    run whose length is the pair's count, and the one temporary per
+    distinct pair is the run starts (see :func:`_run_starts`).  With
+    ``counts`` the keys must be distinct, each with its count, and both are
+    copied in key order."""
     import numpy as np
-    if weights is None:
+    if counts is None:
         keys.sort()
-    else:
-        order = np.argsort(keys, kind="stable")
-        keys, weights = keys[order], weights[order]
-        del order
-    fresh = np.empty(keys.size, dtype=bool)
-    fresh[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-    starts = _run_starts(fresh)
-    del fresh
-    if weights is None:
+        fresh = np.empty(keys.size, dtype=bool)
+        fresh[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        starts = _run_starts(fresh)
+        del fresh
         counts = np.subtract(starts[1:], starts[:-1])
+        keys = keys[starts[:-1]]
+        del starts
     else:
-        counts = np.add.reduceat(weights, starts[:-1], dtype=np.int64) if keys.size else weights
-    unique = keys[starts[:-1]]
-    del starts
+        order = np.argsort(keys)
+        keys, counts = keys[order], counts[order]
+        del order
     if counts.size and counts.max() > MAX_COUNT:
         raise ValueError(f"a pair count exceeds {MAX_COUNT}, the largest a table holds")
-    indptr = np.searchsorted(unique, np.arange(n + 1, dtype=unique.dtype) * n)
-    np.remainder(unique, max(n, 1), out=unique)
-    return indptr, unique.astype(np.int32, copy=False), counts.astype(np.int32, copy=False)
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype) * n)
+    np.remainder(keys, max(n, 1), out=keys)
+    return indptr, keys.astype(np.int32, copy=False), counts.astype(np.int32, copy=False)
 
 
 @dataclass(eq=False)
@@ -244,7 +244,7 @@ class CooccurrenceTable:
 
     def __post_init__(self):
         import numpy as np
-        check_setting("window", self.window, 1, integral=True)
+        check_setting("window", self.window, 1, MAX_WINDOW, integral=True)
         indptr, indices, counts = (np.asarray(a) for a in (self.indptr, self.indices, self.counts))
         _check_csr(indptr, indices, counts, len(self.vocab))
         self.indptr = indptr.astype(np.int64, copy=False)
@@ -298,7 +298,7 @@ def count_bigrams(
     document breaks masks the pairs that would cross one.
     """
     import numpy as np
-    check_setting("window", window, 1, integral=True)
+    check_setting("window", window, 1, MAX_WINDOW, integral=True)
     if len(vocab) == 0:
         raise ValueError("vocabulary is empty")
     n = len(vocab)
@@ -531,7 +531,7 @@ def _parse_bigrams(path, vocab: Vocabulary) -> CooccurrenceTable:
     import numpy as np
     n = len(vocab)
     keys = array("q")
-    counts = array("q")
+    counts = array("i")  # each count is checked to lie in [1, MAX_COUNT]
     seen_rows: set[int] = set()
     current: set[int] | None = None
     lead_key = 0
@@ -545,8 +545,10 @@ def _parse_bigrams(path, vocab: Vocabulary) -> CooccurrenceTable:
             window = int(header[len("#window "):])
         except ValueError:
             raise ParseError(path, 1, "window is not an integer") from None
-        if window < 1:
-            raise ParseError(path, 1, "window must be at least 1")
+        try:
+            check_setting("window", window, 1, MAX_WINDOW, integral=True)
+        except ValueError as exc:
+            raise ParseError(path, 1, str(exc)) from None
         for line_no, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -593,5 +595,5 @@ def _parse_bigrams(path, vocab: Vocabulary) -> CooccurrenceTable:
                 lead_key = i * n
     if current is not None and claimed_total != 0:
         raise ParseError(path, line_no + 1, "row total does not match its context counts")
-    keys, counts = np.frombuffer(keys, dtype=np.int64), np.frombuffer(counts, dtype=np.int64)
+    keys, counts = np.frombuffer(keys, dtype=np.int64), np.frombuffer(counts, dtype=np.intc)
     return CooccurrenceTable(window, vocab, *_csr_from_keys(keys, n, counts))

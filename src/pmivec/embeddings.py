@@ -66,20 +66,18 @@ def _records(words, vectors: np.ndarray) -> bytes:
     return "".join([template % (word, *vec) for word, vec in zip(words, vectors.tolist())]).encode("utf-8")
 
 
-def save_vec(emb: EmbeddingSet, path) -> None:
-    """Write ``n d`` then one ``word f1 .. fd`` record per word."""
-    with atomic_write(path, binary=True) as fh:
-        fh.write(b"%d %d\n" % (len(emb), emb.dim))
-        for k in range(0, len(emb), _WRITE_ROWS):
-            fh.write(_records(emb.words[k:k + _WRITE_ROWS], emb.vectors[k:k + _WRITE_ROWS]))
+def save_vec(emb: EmbeddingSet, path) -> str:
+    """Write ``n d`` then one ``word f1 .. fd`` record per word; returns the
+    hex SHA-256 of the bytes written."""
+    return extend_vec(path, None, None, len(emb), emb.dim, zip(emb.words, emb.vectors))
 
 
-def extend_vec(path, stored, stored_sha256: str, count: int, dim: int,
+def extend_vec(path, stored, stored_sha256: str | None, count: int, dim: int,
                rows: Iterable[tuple[str, np.ndarray]]) -> str:
     """Write to ``path`` a .vec of ``count`` words of dimension ``dim``: the
-    records of the .vec ``stored``, copied byte for byte, then one record
-    per (word, vector) of ``rows``, ``_WRITE_ROWS`` at a time as they come.
-    Returns the hex SHA-256 of the bytes written.
+    records of the .vec ``stored`` (none when it is None), copied byte for
+    byte, then one record per (word, vector) of ``rows``, ``_WRITE_ROWS`` at
+    a time as they come.  Returns the hex SHA-256 of the bytes written.
 
     Each batch of rows passes the checks of an :class:`EmbeddingSet`, and
     the copy is hashed as it is read: unless ``stored`` hashes to
@@ -94,15 +92,16 @@ def extend_vec(path, stored, stored_sha256: str, count: int, dim: int,
             out.write(data)
 
         write(b"%d %d\n" % (count, dim))
-        read = sha256()
-        with open(stored, "rb") as fh:
-            read.update(fh.readline())  # its header: this file's is written above
-            while block := fh.read(1 << 20):
-                read.update(block)
-                write(block)
-        if read.hexdigest() != stored_sha256:
-            raise ValueError(f"{stored} changed while growth ran: its SHA-256 is no longer "
-                             f"{stored_sha256}")
+        if stored is not None:
+            read = sha256()
+            with open(stored, "rb") as fh:
+                read.update(fh.readline())  # its header: this file's is written above
+                while block := fh.read(1 << 20):
+                    read.update(block)
+                    write(block)
+            if read.hexdigest() != stored_sha256:
+                raise ValueError(f"{stored} changed while growth ran: its SHA-256 is no longer "
+                                 f"{stored_sha256}")
         rows = iter(rows)
         while batch := list(islice(rows, _WRITE_ROWS)):
             checked = EmbeddingSet([word for word, _ in batch], [vector for _, vector in batch])

@@ -30,7 +30,8 @@ def check_setting(name: str, value, low: float, high: float = math.inf, *, above
             or not (isinstance(value, numbers.Integral) or math.isfinite(value))
             or not (low < value if above else low <= value) or value > high):
         what = "an integer" if integral else "a finite number"
-        span = f"{'(' if above else '['}{low:g}, {high:g}{']' if high < math.inf else ')'}"
+        ends = [f"{b:g}" if isinstance(b, float) else str(b) for b in (low, high)]
+        span = f"{'(' if above else '['}{ends[0]}, {ends[1]}{']' if high < math.inf else ')'}"
         raise ValueError(f"{name} must be {what} in {span}, not {value!r}")
     return value
 

@@ -1,12 +1,16 @@
-"""The two model settings, in one module that imports no numpy, so that the
-command-line parser takes its defaults from them without loading the
-numerical layers.  ``statistics`` and ``core_solver`` re-export them."""
+"""The two model settings and the bound on the pair window, in one module
+that imports no numpy, so that the command-line parser takes its defaults
+and bounds from them without loading the numerical layers.  ``statistics``
+and ``core_solver`` re-export the settings."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .ioutil import check_setting
+
+#: Largest pair window: the bigram companion stores it as a uint64.
+MAX_WINDOW = 2**64 - 1
 
 
 @dataclass(frozen=True)

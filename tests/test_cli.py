@@ -14,11 +14,13 @@ import pytest
 
 import pmivec
 from pmivec.cli import build_parser, main
-from pmivec.corpus import companion_path, count_unigrams, load_bigrams, load_unigrams, tokenize
+from pmivec.corpus import (_load_companion, companion_path, count_unigrams, load_bigrams,
+                           load_unigrams, tokenize)
 from pmivec.embeddings import EmbeddingSet, load_vec, save_vec
 from pmivec.evaluation import load_analogy, load_choice, load_similarity
 from pmivec.incremental import solve_words
 from pmivec.ioutil import ParseError, atomic_write, file_sha256, open_utf8
+from pmivec.settings import MAX_WINDOW
 from pmivec.statistics import PmiConfig, PmiRows, pmi_block
 
 DATA = Path(__file__).parent / "data"
@@ -189,6 +191,26 @@ class TestCountBigrams:
             ("the", "cat"): 1, ("cat", "sat"): 1, ("sat", "the"): 1,
             ("the", "dog"): 1, ("dog", "sat"): 1,
         }
+
+    def test_window_beyond_the_companion_is_usage_error(self, tmp_path, capsys):
+        # the companion stores the window as a uint64: one more is refused
+        # as a flag, before anything is counted or written
+        args = ["count-bigrams", "--input", str(GOLDEN / "tiny-corpus.txt"),
+                "--unigrams", str(GOLDEN / "tiny-unigrams.txt")]
+        out = tmp_path / "bi.txt"
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--window", str(MAX_WINDOW + 1), "--out", str(out)])
+        assert exc.value.code == 1
+        assert f"argument --window: the value must be a finite number in [1, {MAX_WINDOW}]" \
+            in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        # the largest window is counted, stored and read back from the companion
+        assert main([*args, "--window", str(MAX_WINDOW), "--out", str(out)]) == 0
+        vocab = load_unigrams(GOLDEN / "tiny-unigrams.txt")
+        stored = _load_companion(out, vocab, bytes.fromhex(file_sha256(out)))
+        assert stored is not None and stored.window == MAX_WINDOW
+        os.unlink(companion_path(out))
+        assert load_bigrams(out, vocab) == stored
 
     def test_bad_unigram_file_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -24,6 +24,7 @@ from pmivec.corpus import (
     tokenize,
 )
 from pmivec.ioutil import ParseError
+from pmivec.settings import MAX_WINDOW
 
 
 def pairs_of(table):
@@ -95,9 +96,18 @@ class TestTokenize:
     def test_only_an_empty_line_is_a_boundary(self):
         fh = io.StringIO("a\n \n\t\nb\n\n\nc\n")
         assert list(tokenize(fh)) == ["a", "b", DOC_BREAK, DOC_BREAK, "c"]
-        # without newline translation a line holding only "\r\n" is no boundary
+        # without newline translation a line holding only "\r\n" is a boundary too
         fh = io.StringIO("a\r\n\r\nb\n", newline="")
-        assert list(tokenize(fh)) == ["a", "b"]
+        assert list(tokenize(fh)) == ["a", DOC_BREAK, "b"]
+
+    @pytest.mark.parametrize("end", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_line_iterable_tokenizes_like_the_joined_string(self, end):
+        lines = ["a b", "", "c", "", "", "d e", "", "f"]
+        text = end.join(lines) + end
+        expected = ["a", "b", DOC_BREAK, "c", DOC_BREAK, DOC_BREAK, "d", "e", DOC_BREAK, "f"]
+        assert list(tokenize(text)) == expected
+        assert list(tokenize([line + end for line in lines])) == expected
+        assert list(tokenize(lines)) == expected
 
     def test_order_preserved(self):
         assert list(tokenize("z y x")) == ["z", "y", "x"]
@@ -219,7 +229,9 @@ class TestCountBigrams:
         with pytest.raises(ValueError):
             count_bigrams(iter(["a", "b"]), vocab, 1)
 
-    @pytest.mark.parametrize("value", [1.5, True, "3"], ids=["fraction", "bool", "text"])
+    # the bigram companion stores the window as a uint64: MAX_WINDOW + 1 is too wide
+    @pytest.mark.parametrize("value", [1.5, True, "3", MAX_WINDOW + 1],
+                             ids=["fraction", "bool", "text", "beyond-uint64"])
     def test_window_must_be_an_integer(self, value):
         tokens = ["a", "b", "a", "c"]
         vocab = count_unigrams(iter(tokens))
@@ -396,7 +408,8 @@ class TestBigramFiles:
 
     @pytest.mark.parametrize("text,where", [
         ("#window two\n", "bad.txt:1: window is not an integer"),
-        ("#window 0\n", "bad.txt:1: window must be at least 1"),
+        ("#window 0\n", r"bad.txt:1: window must be an integer in \[1, 18446744073709551615\], not 0$"),
+        (f"#window {2**64}\n", r"bad.txt:1: window must be an integer in \[1, 18446744073709551615\]"),
         ("#window 2\n\tb:1\n", "bad.txt:2: context line before any record"),
         ("#window 2\na\t1\n\tb1\n", "bad.txt:3: expected '<TAB>context:count'"),
         ("#window 2\na\t1\n\tzebra:1\n", "bad.txt:3: unknown context word 'zebra'"),
@@ -407,9 +420,9 @@ class TestBigramFiles:
         ("#window 2\na\tmany\n", "bad.txt:2: row total 'many' is not an integer"),
         ("#window 2\na\t2\n\tb:1\n\n\tzebra:1\n", "bad.txt:5: unknown context word 'zebra'"),
         ("#window 2\na\t1\tx\n\tb:1\n", "bad.txt:2: expected 'word<TAB>row_total'"),
-    ], ids=["window-text", "window-zero", "context-first", "no-colon", "unknown-context",
-            "duplicate-context", "total-at-next-record", "duplicate-word", "total-text",
-            "after-blank-line", "record-two-tabs"])
+    ], ids=["window-text", "window-zero", "window-too-wide", "context-first", "no-colon",
+            "unknown-context", "duplicate-context", "total-at-next-record", "duplicate-word",
+            "total-text", "after-blank-line", "record-two-tabs"])
     def test_parse_errors_name_the_line(self, tmp_path, vocab_and_table, text, where):
         vocab, _ = vocab_and_table
         path = tmp_path / "bad.txt"

@@ -14,7 +14,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pmivec
@@ -40,7 +40,7 @@ def oracle_tokenize(source):
         source = (m.group().rstrip("\r\n") for m in corpus._LINE.finditer(source))
     strip = str.maketrans("", "", string.punctuation)
     for line in source:
-        if not line.rstrip("\n"):
+        if not line.rstrip("\r\n"):
             yield DOC_BREAK
             continue
         for token in line.lower().translate(strip).split():
@@ -230,12 +230,37 @@ def test_run_lengths_match_np_unique(drawn, run_slice):
     assert indptr.tolist() == np.searchsorted(unique, np.arange(n + 1) * n).tolist()
     assert indices.tolist() == (unique % n).tolist()
     assert got.tolist() == counts.tolist()
-    weights = np.arange(1, keys.size + 1, dtype=np.int64)
-    with mock.patch.object(corpus, "_RUN_SLICE", run_slice):
-        weighted = corpus._csr_from_keys(keys, n, weights)
-    assert weighted[0].tolist() == indptr.tolist() and weighted[1].tolist() == indices.tolist()
-    assert weighted[2].dtype == np.int32
-    assert weighted[2].tolist() == [int(weights[keys == k].sum()) for k in unique]
+
+
+@st.composite
+def distinct_keys(draw):
+    """Distinct pair keys ``i * n + j`` in random order, int32 or int64, and
+    a count in ``[1, MAX_COUNT]`` for each, int32 or int64."""
+    n = draw(st.integers(1, 6))
+    keys = draw(st.lists(st.integers(0, n * n - 1), unique=True, max_size=n * n))
+    counts = draw(st.lists(st.one_of(st.just(MAX_COUNT), st.integers(1, MAX_COUNT)),
+                           min_size=len(keys), max_size=len(keys)))
+    return (n, np.array(keys, dtype=draw(st.sampled_from([np.int32, np.int64]))),
+            np.array(counts, dtype=draw(st.sampled_from([np.int32, np.int64]))))
+
+
+@SETTINGS
+@given(distinct_keys())
+@example((1, np.array([], dtype=np.int32), np.array([], dtype=np.int32)))
+@example((2, np.array([3, 0], dtype=np.int64), np.array([MAX_COUNT, 1], dtype=np.int64)))
+def test_distinct_keys_take_their_counts_in_key_order(drawn):
+    # keys and counts from a text or a dict: every key is distinct, so the
+    # table is the keys in argsort order, each with its own count
+    n, keys, counts = drawn
+    given_keys, given_counts = keys.copy(), counts.copy()
+    order = np.argsort(keys)
+    indptr, indices, got = corpus._csr_from_keys(keys, n, counts)
+    assert (indptr.dtype, indices.dtype, got.dtype) == (np.int64, np.int32, np.int32)
+    assert indptr.tolist() == np.searchsorted(keys[order], np.arange(n + 1) * n).tolist()
+    assert indices.tolist() == (keys[order] % n).tolist()
+    assert got.tolist() == counts[order].tolist()
+    # the arguments are read, not reordered
+    assert keys.tolist() == given_keys.tolist() and counts.tolist() == given_counts.tolist()
 
 
 @st.composite
@@ -308,6 +333,33 @@ def test_streams_without_pairs_count_none():
     for table in (only_breaks, only_unknown, count_bigrams(iter([]), vocab, 3)):
         assert table.total_pairs == 0 and table.indices.size == 0 and table.counts.size == 0
         assert table.indptr.tolist() == [0, 0, 0]
+
+
+def test_text_parse_stays_in_its_memory_budget(tmp_path):
+    # 250k distinct pairs read from their text, without a companion.  At its
+    # peak the parse holds the keys (8 bytes a pair) and counts (4) it read,
+    # the sort order (8) and both in key order (12), of which the table keeps
+    # 8: about 24 bytes a pair above the table, where int64 counts and a
+    # run-length merge of keys that cannot repeat took about 49
+    rng = np.random.default_rng(37)
+    n = 2000
+    vocab = Vocabulary([f"w{k}" for k in range(n)], [1] * n, 10**6)
+    keys = np.sort(rng.choice(n * n, 250_000, replace=False))
+    table = CooccurrenceTable(2, vocab, np.searchsorted(keys, np.arange(n + 1) * n), keys % n,
+                              rng.integers(1, 5000, keys.size))
+    path = tmp_path / "bigrams.txt"
+    save_bigrams(table, path)
+    os.unlink(companion_path(path))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        parsed = corpus._parse_bigrams(path, vocab)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    kept = parsed.indptr.nbytes + parsed.indices.nbytes + parsed.counts.nbytes
+    assert parsed == table
+    assert (peak - kept) / keys.size <= 36
 
 
 def test_counting_stays_in_its_memory_budget():

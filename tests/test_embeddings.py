@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pmivec.embeddings import EmbeddingSet, load_vec, save_vec
-from pmivec.ioutil import ParseError
+from pmivec.ioutil import ParseError, file_sha256
 
 
 class TestEmbeddingSet:
@@ -70,6 +70,20 @@ class TestSaveVec:
         save_vec(EmbeddingSet(["odd"], row[None, :]), path)
         expected = "1 8\nodd " + " ".join(format(x, ".6g") for x in row) + "\n"
         assert path.read_bytes() == expected.encode()
+
+    def test_returns_the_sha256_of_its_bytes(self, tmp_path):
+        # more rows than one write group: still the header, then one record
+        # of "%.6g" values per word
+        rng = np.random.default_rng(2)
+        words = [f"w{k}" for k in range(150)]
+        emb = EmbeddingSet(words, rng.normal(scale=10.0, size=(150, 3)))
+        path = tmp_path / "many.vec"
+        digest = save_vec(emb, path)
+        expected = "150 3\n" + "".join(
+            f"{word} " + " ".join(format(x, ".6g") for x in row) + "\n"
+            for word, row in zip(words, emb.vectors))
+        assert path.read_bytes() == expected.encode()
+        assert digest == file_sha256(path)
 
 
 class TestLoadVec:

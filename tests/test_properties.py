@@ -40,10 +40,10 @@ SETTINGS = settings(max_examples=60, deadline=None)
 def per_span_tokenize(lines):
     """Token rules applied one whitespace-separated span at a time: lowercase
     the span, strip ASCII punctuation, keep it if it is all of a-z.  A line
-    that is empty but for its newline is a document break."""
+    that is empty but for its line ending is a document break."""
     strip = str.maketrans("", "", string.punctuation)
     for line in lines:
-        line = line.rstrip("\n")
+        line = line.rstrip("\r\n")
         if line == "":
             yield DOC_BREAK
             continue
